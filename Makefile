@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race chaos soak federate-smoke fuzz bench bench-smoke serve-smoke clean
+.PHONY: ci vet build test race chaos soak federate-smoke fuzz bench bench-smoke serve-smoke perfbench-check clean
 
-ci: vet build race chaos soak federate-smoke serve-smoke bench-smoke fuzz
+ci: vet build perfbench-check race chaos soak federate-smoke serve-smoke bench-smoke fuzz
 
 vet:
 	$(GO) vet ./...
@@ -67,6 +67,11 @@ serve-smoke:
 # benchmarks that no longer compile or fail at runtime.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# perfbench is its own module, so the root module's vet and build never
+# compile it; this gate catches API changes that break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean -testcache

@@ -22,7 +22,8 @@
 // Quick start:
 //
 //	p := aqualogic.Demo()
-//	rows, err := p.Query("SELECT CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID < ?", 1010)
+//	rows, err := p.QueryDialect(context.Background(), aqualogic.DialectSQL, aqualogic.ModeText,
+//		"SELECT CUSTOMERNAME, CITY FROM CUSTOMERS WHERE CUSTOMERID < ?", 1010)
 //
 // or through database/sql:
 //
@@ -54,8 +55,8 @@ import (
 )
 
 // Dialect names a registered query language front end. Every query-text
-// entry point has a *Dialect variant; the plain methods fix the dialect
-// to SQL-92, the platform's historical (and wire-default) surface.
+// entry point takes one; DialectSQL is the platform's historical (and
+// wire-default) surface.
 type Dialect = qfront.Dialect
 
 // Built-in dialects: the SQL-92 front end (internal/sqlparser) and the
@@ -113,8 +114,8 @@ type (
 	// CompiledQuery is the compiled-query artifact: the completed
 	// translation, the evaluator's plan (checked and built straight from
 	// the generated AST — no serialize→reparse round trip), and the
-	// compile-time stage trace. Compile returns it; the shared compile
-	// cache stores it.
+	// compile-time stage trace. CompileDialect returns it; the shared
+	// compile cache stores it.
 	CompiledQuery = qcache.CompiledQuery
 	// CompileCacheStats snapshots the shared compile cache's counters
 	// (hits, misses, single-flight shares, evictions, invalidations, size,
@@ -413,7 +414,7 @@ func (p *Platform) InvalidateSourceMetadata(name string) {
 // Federation instead: each backend gets its own injection/retry stack
 // and its own cache, so one backend's faults or invalidations stay its
 // own. Lazy construction is guarded so concurrent callers (parallel
-// Translate/Query, RegisterDriver) share one cache.
+// TranslateDialect/QueryDialect, RegisterDriver) share one cache.
 func (p *Platform) metaSource() catalog.Source {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
@@ -497,8 +498,8 @@ func (p *Platform) sourceGeneration(source string) uint64 {
 
 // queryCache lazily builds the platform's shared compiled-query cache,
 // keyed on the metadata cache's generation so catalog changes retire
-// stale artifacts. The same instance backs Compile/Query on the facade
-// and every connection of a registered driver.
+// stale artifacts. The same instance backs CompileDialect/QueryDialect on
+// the facade and every connection of a registered driver.
 func (p *Platform) queryCache() *qcache.Cache {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
@@ -527,25 +528,15 @@ func (p *Platform) metadataGeneration() uint64 {
 	return 0
 }
 
-// Compile translates, statically checks, and plans a SELECT once,
-// returning the compiled-query artifact — the AST handed to the evaluator
-// directly, with no serialize→reparse round trip. Artifacts are cached in
-// the platform's shared compile cache keyed by (normalized SQL, result
-// mode, catalog generation); repeated Compile/Query calls of equivalent
-// statements reuse one compilation.
-func (p *Platform) Compile(sql string, mode ResultMode) (*CompiledQuery, error) {
-	return p.CompileContext(context.Background(), sql, mode)
-}
-
-// CompileContext is Compile observing a context during metadata fetches.
-func (p *Platform) CompileContext(ctx context.Context, sql string, mode ResultMode) (*CompiledQuery, error) {
-	return p.CompileDialect(ctx, DialectSQL, sql, mode)
-}
-
-// CompileDialect is CompileContext with an explicit query dialect: the
-// text is parsed by the dialect's registered front end, and the artifact
-// is cached under (dialect, normalized text, mode, generations) — two
-// dialects can never share or clobber an entry, even on identical text.
+// CompileDialect translates, statically checks, and plans a statement
+// once, returning the compiled-query artifact — the AST handed to the
+// evaluator directly, with no serialize→reparse round trip. The text is
+// parsed by the dialect's registered front end, and the artifact is
+// cached in the platform's shared compile cache under (dialect,
+// normalized text, mode, generations): repeated CompileDialect and
+// QueryDialect calls of equivalent statements reuse one compilation, and
+// two dialects can never share or clobber an entry, even on identical
+// text. ctx is observed during metadata fetches.
 func (p *Platform) CompileDialect(ctx context.Context, dialect Dialect, text string, mode ResultMode) (*CompiledQuery, error) {
 	fe, err := qfront.Lookup(dialect)
 	if err != nil {
@@ -588,13 +579,10 @@ func (p *Platform) Translator(mode ResultMode) *translator.Translator {
 	return tr
 }
 
-// Translate converts a SQL-92 SELECT into XQuery, returning the full
-// translation (generated query, result schema, parameter info).
-func (p *Platform) Translate(sql string, mode ResultMode) (*Translation, error) {
-	return p.Translator(mode).Translate(sql)
-}
-
-// TranslateDialect is Translate with an explicit query dialect.
+// TranslateDialect converts a statement in the given dialect into XQuery,
+// returning the full translation (generated query, result schema,
+// parameter info); its XQuery method renders the text `cmd/sql2xq`
+// prints.
 func (p *Platform) TranslateDialect(dialect Dialect, text string, mode ResultMode) (*Translation, error) {
 	fe, err := qfront.Lookup(dialect)
 	if err != nil {
@@ -603,87 +591,32 @@ func (p *Platform) TranslateDialect(dialect Dialect, text string, mode ResultMod
 	return p.Translator(mode).TranslateFrontend(context.Background(), fe, text, nil)
 }
 
-// TranslateText is a convenience returning just the XQuery source in XML
-// result mode — what `cmd/sql2xq` prints.
-func (p *Platform) TranslateText(sql string) (string, error) {
-	res, err := p.Translate(sql, ModeXML)
-	if err != nil {
-		return "", err
-	}
-	return res.XQuery(), nil
-}
-
-// Query translates and executes a SELECT end to end, binding the given
-// parameter values to `?` markers. It uses the §4 text-mode path, the
-// driver's default. The returned Rows is a thin view over a pull cursor:
-// rows decode one Next at a time while the query is still running, and
-// Close cancels any remaining evaluation. Call rows.Materialize() — or any
-// scroll operation (Len, Reset), which materializes implicitly — for a
-// scrollable result; check rows.Err() after iterating, since errors can
-// strike mid-stream.
-func (p *Platform) Query(sql string, args ...any) (*Rows, error) {
-	return p.QueryMode(ModeText, sql, args...)
-}
-
-// QueryMode is Query with an explicit result-handling mode. Statements
-// compile through the shared compile cache: a repeated query reuses the
-// cached plan and skips translation, checking, and planning entirely.
-func (p *Platform) QueryMode(mode ResultMode, sql string, args ...any) (*Rows, error) {
-	return p.QueryStreamMode(context.Background(), mode, sql, args...)
-}
-
-// QueryStream is Query observing a context: cancelling ctx aborts the
-// evaluation at the next tuple boundary, surfacing through rows.Err().
-func (p *Platform) QueryStream(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	return p.QueryStreamMode(ctx, ModeText, sql, args...)
-}
-
-// QueryStreamMode is the full streaming entry point: compile (cached), bind
-// parameters, start the evaluation, and return a Rows over the row cursor.
-// The evaluation runs concurrently with consumption — ORDER BY and GROUP BY
+// QueryDialect translates and executes a statement end to end: compile
+// through the shared compile cache (a repeated query reuses the cached
+// plan and skips translation, checking, and planning entirely), bind the
+// given values to the `?` markers, start the evaluation, and return a Rows
+// over the row cursor. ModeText is the §4 text-mode path, the driver's
+// default. The returned Rows is a thin view over a pull cursor: the
+// evaluation runs concurrently with consumption — ORDER BY and GROUP BY
 // segments are the only materialization barriers — so the first row is
 // available long before the last one is computed, and FETCH FIRST n stops
-// the evaluation after n rows. Errors that precede the first row (unknown
-// tables, bad parameters, sources failing at open) are returned here
-// synchronously; later ones via rows.Err().
-func (p *Platform) QueryStreamMode(ctx context.Context, mode ResultMode, sql string, args ...any) (*Rows, error) {
-	return p.QueryDialect(ctx, DialectSQL, mode, sql, args...)
-}
-
-// QueryDialect is QueryStreamMode with an explicit query dialect: the
-// statement text is parsed by the dialect's front end and then flows
-// through exactly the same compile cache, planner, and streaming cursor
-// as SQL.
+// the evaluation after n rows. Cancelling ctx aborts the evaluation at the
+// next tuple boundary, and Close cancels any remaining evaluation. Call
+// rows.Materialize() — or any scroll operation (Len, Reset), which
+// materializes implicitly — for a scrollable result. Errors that precede
+// the first row (unknown tables, bad parameters, sources failing at open)
+// are returned here synchronously; later ones via rows.Err(), so check it
+// after iterating.
 func (p *Platform) QueryDialect(ctx context.Context, dialect Dialect, mode ResultMode, text string, args ...any) (*Rows, error) {
 	cq, err := p.CompileDialect(ctx, dialect, text, mode)
 	if err != nil {
 		return nil, err
 	}
-	res := cq.Res
-	if len(args) != res.ParamCount {
-		return nil, fmt.Errorf("aqualogic: statement has %d parameter(s), got %d value(s)", res.ParamCount, len(args))
-	}
-	ext := make(map[string]Sequence, len(args))
-	for i, a := range args {
-		v, err := ToAtomic(a)
-		if err != nil {
-			return nil, fmt.Errorf("aqualogic: parameter %d: %v", i+1, err)
-		}
-		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(v)
-	}
-	cur := p.Engine.EvalStream(ctx, cq.Plan, ext, nil)
-	if err := cur.Prime(); err != nil {
-		cur.Close()
+	rc, err := cq.Open(ctx, p.Engine, args, nil)
+	if err != nil {
 		return nil, err
 	}
-	cols := make([]resultset.Column, len(res.Columns))
-	for i, c := range res.Columns {
-		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
-	}
-	if mode == ModeText {
-		return resultset.NewStreaming(resultset.StreamText(cur, cols)), nil
-	}
-	return resultset.NewStreaming(resultset.StreamXML(cur, cols)), nil
+	return resultset.NewStreaming(rc), nil
 }
 
 // RegisterDriver exposes the platform through database/sql under the given
@@ -793,16 +726,11 @@ func (p *Platform) FederationStats() []SourceHealth {
 	return out
 }
 
-// Explain runs a traced translation: the returned Trace holds one stage
-// record per pipeline stage (lex, parse, semantic-validate, restructure,
-// generate, serialize) with wall time, sizes, and stage detail — the
-// programmatic form of the driver's EXPLAIN statement.
-func (p *Platform) Explain(sql string, mode ResultMode) (*Translation, *Trace, error) {
-	return p.ExplainDialect(DialectSQL, sql, mode)
-}
-
-// ExplainDialect is Explain with an explicit query dialect; the stage
-// trace starts with the dialect's own lex/parse spans.
+// ExplainDialect runs a traced translation: the returned Trace holds one
+// stage record per pipeline stage (the dialect's own lex and parse, then
+// semantic-validate, restructure, generate, serialize) with wall time,
+// sizes, and stage detail — the programmatic form of the driver's EXPLAIN
+// statement.
 func (p *Platform) ExplainDialect(dialect Dialect, text string, mode ResultMode) (*Translation, *Trace, error) {
 	fe, err := qfront.Lookup(dialect)
 	if err != nil {
@@ -866,7 +794,7 @@ func NewRow(rowElement string, colValuePairs ...string) *Element {
 // The view appears as table `name` in schema `path/name`, with columns
 // named by the view's (necessarily unique) output labels.
 func (p *Platform) DefineView(path, name, sql string) error {
-	res, err := p.Translate(sql, ModeXML)
+	res, err := p.TranslateDialect(DialectSQL, sql, ModeXML)
 	if err != nil {
 		return fmt.Errorf("aqualogic: define view %s: %w", name, err)
 	}

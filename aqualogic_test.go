@@ -1,17 +1,20 @@
 package aqualogic
 
 import (
+	"context"
 	"database/sql"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/xdm"
 )
 
 func TestDemoQuery(t *testing.T) {
 	p := Demo()
-	rows, err := p.Query("SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID < ? ORDER BY CUSTOMERID", 1003)
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID < ? ORDER BY CUSTOMERID", 1003)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +31,11 @@ func TestDemoQuery(t *testing.T) {
 func TestQueryModeEquivalence(t *testing.T) {
 	p := Demo()
 	q := "SELECT CITY, COUNT(*) AS N FROM CUSTOMERS GROUP BY CITY ORDER BY 2 DESC, CITY"
-	a, err := p.QueryMode(ModeText, q)
+	a, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.QueryMode(ModeXML, q)
+	b, err := p.QueryDialect(context.Background(), DialectSQL, ModeXML, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +53,21 @@ func TestQueryModeEquivalence(t *testing.T) {
 
 func TestParamCountMismatch(t *testing.T) {
 	p := Demo()
-	if _, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = ?"); err == nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = ?"); err == nil {
 		t.Fatal("missing parameter should error")
 	}
-	if _, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS", 1); err == nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS", 1); err == nil {
 		t.Fatal("extra parameter should error")
 	}
 }
 
 func TestTranslateText(t *testing.T) {
 	p := Demo()
-	xq, err := p.TranslateText("SELECT * FROM CUSTOMERS")
+	res, err := p.TranslateDialect(DialectSQL, "SELECT * FROM CUSTOMERS", ModeXML)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(xq, "for $var1FR1 in ns0:CUSTOMERS()") {
+	if xq := res.XQuery(); !strings.Contains(xq, "for $var1FR1 in ns0:CUSTOMERS()") {
 		t.Fatalf("xquery:\n%s", xq)
 	}
 }
@@ -89,12 +92,12 @@ func TestRegisterDriverRoundTrip(t *testing.T) {
 func TestMetadataLatencyAndCache(t *testing.T) {
 	p := Demo()
 	p.MetadataLatency = time.Millisecond
-	if _, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS"); err != nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS"); err != nil {
 		t.Fatal(err)
 	}
 	// A distinct statement over the same table recompiles (compile-cache
 	// miss) but finds the table metadata already cached.
-	if _, err := p.Query("SELECT CUSTOMERNAME FROM CUSTOMERS"); err != nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERNAME FROM CUSTOMERS"); err != nil {
 		t.Fatal(err)
 	}
 	stats := p.MetadataStats()
@@ -103,7 +106,7 @@ func TestMetadataLatencyAndCache(t *testing.T) {
 	}
 	// Repeating a statement verbatim is a compile-cache hit: no translation,
 	// no catalog traffic at all.
-	if _, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS"); err != nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS"); err != nil {
 		t.Fatal(err)
 	}
 	cs := p.CompileStats()
@@ -134,7 +137,7 @@ func TestCustomPlatform(t *testing.T) {
 		NewRow("REGIONS", "REGIONID", "3", "NAME", ""), // NULL name
 	})
 	p := New(app, engine)
-	rows, err := p.Query("SELECT NAME FROM REGIONS ORDER BY REGIONID")
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT NAME FROM REGIONS ORDER BY REGIONID")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +164,43 @@ func TestToAtomic(t *testing.T) {
 	}
 	if _, err := ToAtomic(struct{}{}); err == nil {
 		t.Fatal("unsupported type should error")
+	}
+	if _, err := ToAtomic(nil); !errors.Is(err, xdm.ErrNullParameter) {
+		t.Fatalf("ToAtomic(nil) = %v, want %v", err, xdm.ErrNullParameter)
+	}
+}
+
+// TestNullParameterRejectedOnEveryPath pins the one parameter converter:
+// the facade, the driver's prepared SELECT and CALL, and the remote
+// client all refuse a NULL argument with the same message.
+func TestNullParameterRejectedOnEveryPath(t *testing.T) {
+	ctx := context.Background()
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+	p.RegisterDriver("null-param-test")
+	db := openSQL(t, "null-param-test")
+	const query = "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = ?"
+	paths := map[string]func() error{
+		"facade": func() error {
+			_, err := p.QueryDialect(ctx, DialectSQL, ModeText, query, nil)
+			return err
+		},
+		"driver select": func() error {
+			_, err := db.Query(query, nil)
+			return err
+		},
+		"driver call": func() error {
+			_, err := db.Query("CALL getCustomerById(?)", nil)
+			return err
+		},
+		"remote client": func() error {
+			_, err := c.Query(ctx, query, nil)
+			return err
+		},
+	}
+	for name, run := range paths {
+		if err := run(); err == nil || !strings.Contains(err.Error(), xdm.ErrNullParameter.Error()) {
+			t.Errorf("%s: err = %v, want it to say %q", name, err, xdm.ErrNullParameter)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package aqualogic
 //	P11 BenchmarkParallelScan   — morsel-parallel execution through the facade
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -113,7 +114,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 		}{{"Text", ModeText}, {"XML", ModeXML}} {
 			b.Run(fmt.Sprintf("%s/customers=%d", mode.name, customers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rows, err := p.QueryMode(mode.m, sql)
+					rows, err := p.QueryDialect(context.Background(), DialectSQL, mode.m, sql)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -139,7 +140,7 @@ func BenchmarkJoinShapes(b *testing.B) {
 	for name, sql := range queries {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Query(sql); err != nil {
+				if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -242,7 +243,7 @@ func BenchmarkParallelScan(b *testing.B) {
 			p.ConfigureExec(ExecConfig{Workers: workers, MorselSize: 8, MinParallelItems: 2})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := p.Query(sql)
+				rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql)
 				if err != nil {
 					b.Fatal(err)
 				}

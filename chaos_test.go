@@ -126,7 +126,7 @@ func TestChaosSoak(t *testing.T) {
 	base := New(app, engine)
 	want := make(map[string]string, len(chaosCorpus()))
 	for _, sql := range chaosCorpus() {
-		rows, err := base.Query(sql, chaosArgs(strings.Count(sql, "?"))...)
+		rows, err := base.QueryDialect(context.Background(), DialectSQL, ModeText, sql, chaosArgs(strings.Count(sql, "?"))...)
 		if err == nil {
 			want[sql], err = drain(rows)
 		}
@@ -157,7 +157,7 @@ func TestChaosSoak(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < iters; i++ {
 						for _, sql := range chaosCorpus() {
-							rows, err := p.Query(sql, chaosArgs(strings.Count(sql, "?"))...)
+							rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql, chaosArgs(strings.Count(sql, "?"))...)
 							var got string
 							if err == nil {
 								// Faults can also strike with rows already in
@@ -237,14 +237,14 @@ func TestChaosHardDown(t *testing.T) {
 	})
 
 	const sql = "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS"
-	if _, err := p.Query(sql); err != nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql); err != nil {
 		t.Fatalf("healthy query: %v", err)
 	}
 
 	inj.SetRate(1) // the backend goes hard-down
 
 	// Metadata survives on stale entries (flagged), so translation works.
-	if _, err := p.Translate(sql, ModeText); err != nil {
+	if _, err := p.TranslateDialect(DialectSQL, sql, ModeText); err != nil {
 		t.Fatalf("hard-down translate should serve stale metadata: %v", err)
 	}
 	if s := p.MetadataStats(); !s.Degraded || s.StaleServes == 0 {
@@ -255,7 +255,7 @@ func TestChaosHardDown(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var lastErr error
 	for i := 0; i < 10 && time.Now().Before(deadline); i++ {
-		_, lastErr = p.Query(sql)
+		_, lastErr = p.QueryDialect(context.Background(), DialectSQL, ModeText, sql)
 		if lastErr == nil {
 			t.Fatal("hard-down query succeeded")
 		}
@@ -264,7 +264,7 @@ func TestChaosHardDown(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, err := p.Query(sql)
+	_, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql)
 	if err == nil {
 		t.Fatal("open breaker should fail")
 	}
@@ -288,7 +288,7 @@ func FuzzFaultedEval(f *testing.F) {
 	app, _, engine := demo.Setup(sizes)
 	base := New(app, engine)
 	f.Fuzz(func(t *testing.T, sql string, seed uint64) {
-		res, err := base.Translate(sql, ModeText)
+		res, err := base.TranslateDialect(DialectSQL, sql, ModeText)
 		if err != nil || res.ParamCount > 2 {
 			return
 		}
@@ -296,7 +296,7 @@ func FuzzFaultedEval(f *testing.F) {
 			return // nondeterministic between the two runs
 		}
 		args := chaosArgs(res.ParamCount)
-		baseRows, baseErr := base.Query(sql, args...)
+		baseRows, baseErr := base.QueryDialect(context.Background(), DialectSQL, ModeText, sql, args...)
 		var want string
 		if baseErr == nil {
 			want, baseErr = drain(baseRows)
@@ -306,7 +306,7 @@ func FuzzFaultedEval(f *testing.F) {
 			Latency:      50 * time.Microsecond,
 			StallTimeout: time.Millisecond,
 		})
-		rows, err := p.Query(sql, args...)
+		rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql, args...)
 		var got string
 		if err == nil {
 			got, err = drain(rows)
@@ -346,7 +346,7 @@ func TestChaosMidStreamTruncation(t *testing.T) {
 	base := New(app, engine)
 	want := make(map[string]string, len(stmts))
 	for _, sql := range stmts {
-		rows, err := base.Query(sql)
+		rows, err := base.QueryDialect(context.Background(), DialectSQL, ModeText, sql)
 		if err == nil {
 			want[sql], err = drain(rows)
 		}
@@ -366,7 +366,7 @@ func TestChaosMidStreamTruncation(t *testing.T) {
 	var midStream, complete int
 	for iter := 0; iter < 40; iter++ {
 		for _, sql := range stmts {
-			rows, err := p.Query(sql)
+			rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql)
 			if err != nil {
 				if !typedFailure(err) {
 					t.Fatalf("untyped open-time failure for %q: %v", sql, err)
@@ -419,7 +419,7 @@ func TestServeChaos(t *testing.T) {
 	// touch the in-process path.
 	baseline := make(map[string]string)
 	for _, sql := range chaosCorpus() {
-		rows, err := p.Query(sql, chaosArgs(strings.Count(sql, "?"))...)
+		rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql, chaosArgs(strings.Count(sql, "?"))...)
 		if err != nil {
 			t.Fatalf("baseline %q: %v", sql, err)
 		}
@@ -455,7 +455,7 @@ func TestServeChaos(t *testing.T) {
 		}
 		for _, sql := range chaosCorpus() {
 			attempts++
-			rows, err := c.QueryStreamMode(context.Background(), ModeText, sql,
+			rows, err := c.QueryDialect(context.Background(), "", ModeText, sql,
 				chaosArgs(strings.Count(sql, "?"))...)
 			var got string
 			if err == nil {
@@ -492,7 +492,7 @@ func TestServeChaos(t *testing.T) {
 		t.Fatalf("post-chaos handshake: %v", err)
 	}
 	sql := "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS"
-	rows, err := c.QueryStreamMode(context.Background(), ModeText, sql)
+	rows, err := c.QueryDialect(context.Background(), "", ModeText, sql)
 	if err != nil {
 		t.Fatalf("post-chaos query: %v", err)
 	}
@@ -520,7 +520,7 @@ func TestChaosParallelExecution(t *testing.T) {
 	base.ConfigureExec(parCfg)
 	want := make(map[string]string, len(chaosCorpus()))
 	for _, sql := range chaosCorpus() {
-		rows, err := base.Query(sql, chaosArgs(strings.Count(sql, "?"))...)
+		rows, err := base.QueryDialect(context.Background(), DialectSQL, ModeText, sql, chaosArgs(strings.Count(sql, "?"))...)
 		if err == nil {
 			want[sql], err = drain(rows)
 		}
@@ -550,7 +550,7 @@ func TestChaosParallelExecution(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				for _, sql := range chaosCorpus() {
-					rows, err := p.Query(sql, chaosArgs(strings.Count(sql, "?"))...)
+					rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql, chaosArgs(strings.Count(sql, "?"))...)
 					var got string
 					if err == nil {
 						got, err = drain(rows)

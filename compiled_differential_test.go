@@ -114,7 +114,7 @@ func TestCompiledMatchesTextual(t *testing.T) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
 			for _, sql := range corpus {
 				before := p.CompileStats()
-				cq, err := p.Compile(sql, mode)
+				cq, err := p.CompileDialect(context.Background(), DialectSQL, sql, mode)
 				if err != nil {
 					t.Fatalf("%s: mode %v: %q must compile: %v", pass, mode, sql, err)
 				}
@@ -163,7 +163,7 @@ func FuzzCompiledDifferential(f *testing.F) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})
 	p := New(app, engine)
 	f.Fuzz(func(t *testing.T, sql string) {
-		cq, err := p.Compile(sql, ModeXML)
+		cq, err := p.CompileDialect(context.Background(), DialectSQL, sql, ModeXML)
 		if err != nil {
 			return
 		}

@@ -1,22 +1,23 @@
 package aqualogic_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	aqualogic "repro"
 )
 
-// ExamplePlatform_TranslateText shows the paper's core transformation: a
-// SQL SELECT over a data service presented as a table becomes an XQuery
+// ExamplePlatform_TranslateDialect shows the paper's core transformation:
+// a SQL SELECT over a data service presented as a table becomes an XQuery
 // over the data service function.
-func ExamplePlatform_TranslateText() {
+func ExamplePlatform_TranslateDialect() {
 	p := aqualogic.Demo()
-	xq, err := p.TranslateText("SELECT CUSTOMERID ID FROM CUSTOMERS WHERE CUSTOMERID = 1000")
+	res, err := p.TranslateDialect(aqualogic.DialectSQL, "SELECT CUSTOMERID ID FROM CUSTOMERS WHERE CUSTOMERID = 1000", aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 	// Output:
 	// import schema namespace ns0 =
 	//   "ld:TestDataServices/CUSTOMERS" at
@@ -34,8 +35,9 @@ func ExamplePlatform_TranslateText() {
 	// </RECORDSET>
 }
 
-// ExamplePlatform_Query runs SQL end to end against a custom data service.
-func ExamplePlatform_Query() {
+// ExamplePlatform_QueryDialect runs SQL end to end against a custom data
+// service.
+func ExamplePlatform_QueryDialect() {
 	app := &aqualogic.Application{Name: "MiniApp"}
 	app.AddDSFile(&aqualogic.DSFile{
 		Path: "Mini",
@@ -55,7 +57,7 @@ func ExamplePlatform_Query() {
 	})
 
 	p := aqualogic.New(app, engine)
-	rows, err := p.Query("SELECT ID, NAME FROM ITEMS ORDER BY ID")
+	rows, err := p.QueryDialect(context.Background(), aqualogic.DialectSQL, aqualogic.ModeText, "SELECT ID, NAME FROM ITEMS ORDER BY ID")
 	if err != nil {
 		log.Fatal(err)
 	}

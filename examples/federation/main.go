@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	app := &aqualogic.Application{Name: "FederationApp"}
 	// A relational import: the employee roster.
 	app.AddDSFile(&aqualogic.DSFile{
@@ -77,14 +79,14 @@ func main() {
 	fmt.Println("-- one SQL query spanning a table and a computed service:")
 	fmt.Println(sql)
 
-	xq, err := p.TranslateText(sql)
+	res, err := p.TranslateDialect(aqualogic.DialectSQL, sql, aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n-- translates to a single XQuery over both data service functions:")
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 
-	rows, err := p.Query(sql)
+	rows, err := p.QueryDialect(ctx, aqualogic.DialectSQL, aqualogic.ModeText, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func main() {
 	fmt.Print(rows.Table())
 
 	// The reverse direction also works: which offices have no employees?
-	rows, err = p.Query(`SELECT CODE, CITY FROM OFFICES
+	rows, err = p.QueryDialect(ctx, aqualogic.DialectSQL, aqualogic.ModeText, `SELECT CODE, CITY FROM OFFICES
 		WHERE CODE NOT IN (SELECT OFFICE FROM EMPLOYEES WHERE OFFICE IS NOT NULL)`)
 	if err != nil {
 		log.Fatal(err)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	p := aqualogic.Demo() // physical layer: CUSTOMERS, PAYMENTS, PO_*
 
 	// Logical layer 1: per-customer order statistics.
@@ -34,7 +36,7 @@ func main() {
 	}
 
 	fmt.Println("== top cities (a SQL query over a view over a view) ==")
-	rows, err := p.Query(`SELECT CITY, CUSTOMERS, REVENUE FROM CITY_REVENUE
+	rows, err := p.QueryDialect(ctx, aqualogic.DialectSQL, aqualogic.ModeText, `SELECT CITY, CUSTOMERS, REVENUE FROM CITY_REVENUE
 		ORDER BY REVENUE DESC FETCH FIRST 5 ROWS ONLY`)
 	if err != nil {
 		log.Fatal(err)
@@ -43,7 +45,7 @@ func main() {
 
 	// The logical services join freely with the physical layer.
 	fmt.Println("\n== customers whose revenue beats their city's average ==")
-	rows, err = p.Query(`
+	rows, err = p.QueryDialect(ctx, aqualogic.DialectSQL, aqualogic.ModeText, `
 		SELECT V.NAME, V.CITY, V.REVENUE
 		FROM CUSTOMER_ORDERS V INNER JOIN CITY_REVENUE R ON V.CITY = R.CITY
 		WHERE V.REVENUE > R.REVENUE / R.CUSTOMERS
@@ -55,9 +57,9 @@ func main() {
 
 	// And the whole logical layer is visible to SQL tools via the driver.
 	fmt.Println("\n== what the generated XQuery for the rollup looks like ==")
-	xq, err := p.TranslateText("SELECT CITY, REVENUE FROM CITY_REVENUE WHERE REVENUE > 1000")
+	res, err := p.TranslateDialect(aqualogic.DialectSQL, "SELECT CITY, REVENUE FROM CITY_REVENUE WHERE REVENUE > 1000", aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Describe the application's metadata: one data service (BOOKS)
 	//    imported from a relational source, exactly like the paper's
 	//    Example 2 .ds file.
@@ -42,18 +44,18 @@ func main() {
 
 	// 3. Translate a SQL query and inspect the generated XQuery.
 	sql := "SELECT TITLE, PRICE FROM BOOKS WHERE PRICE < 50 ORDER BY PRICE DESC"
-	xq, err := p.TranslateText(sql)
+	res, err := p.TranslateDialect(aqualogic.DialectSQL, sql, aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("-- SQL:")
 	fmt.Println("  ", sql)
 	fmt.Println("-- generated XQuery:")
-	fmt.Println(xq)
+	fmt.Println(res.XQuery())
 
 	// 4. Execute end to end (translation + XQuery evaluation + result
 	//    decoding) with a parameter.
-	rows, err := p.Query("SELECT TITLE, AUTHOR, PRICE FROM BOOKS WHERE BOOKID <> ? ORDER BY BOOKID", 2)
+	rows, err := p.QueryDialect(ctx, aqualogic.DialectSQL, aqualogic.ModeText, "SELECT TITLE, AUTHOR, PRICE FROM BOOKS WHERE BOOKID <> ? ORDER BY BOOKID", 2)
 	if err != nil {
 		log.Fatal(err)
 	}

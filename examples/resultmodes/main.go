@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -20,7 +21,7 @@ func main() {
 	sql := "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID < 1003 ORDER BY CUSTOMERID"
 
 	// What travels in XML mode.
-	xmlRes, err := p.Translate(sql, aqualogic.ModeXML)
+	xmlRes, err := p.TranslateDialect(aqualogic.DialectSQL, sql, aqualogic.ModeXML)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func main() {
 	fmt.Println(lastLines(xmlRes.XQuery(), 12))
 
 	// What travels in text mode: same query wrapped per §4.
-	textRes, err := p.Translate(sql, aqualogic.ModeText)
+	textRes, err := p.TranslateDialect(aqualogic.DialectSQL, sql, aqualogic.ModeText)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 	fmt.Println(firstLines(textRes.XQuery(), 6))
 	fmt.Println("  …")
 
-	rows, err := p.QueryMode(aqualogic.ModeText, sql)
+	rows, err := p.QueryDialect(context.Background(), aqualogic.DialectSQL, aqualogic.ModeText, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,11 +94,11 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 		fed.ConfigureExec(ExecConfig{Workers: workers})
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
 			for _, q := range federatedCorpus() {
-				fcq, err := fed.Compile(q, mode)
+				fcq, err := fed.CompileDialect(context.Background(), DialectSQL, q, mode)
 				if err != nil {
 					t.Fatalf("workers=%d mode=%v: federated compile %q: %v", workers, mode, q, err)
 				}
-				ocq, err := ora.Compile(q, mode)
+				ocq, err := ora.CompileDialect(context.Background(), DialectSQL, q, mode)
 				if err != nil {
 					t.Fatalf("workers=%d mode=%v: oracle compile %q: %v", workers, mode, q, err)
 				}
@@ -135,11 +135,11 @@ func TestFederatedPushdownToggleMatches(t *testing.T) {
 
 	before := obsv.Global.Snapshot()
 	for _, q := range federatedCorpus() {
-		fcq, err := fed.Compile(q, ModeXML)
+		fcq, err := fed.CompileDialect(context.Background(), DialectSQL, q, ModeXML)
 		if err != nil {
 			t.Fatalf("compile %q: %v", q, err)
 		}
-		ocq, _ := ora.Compile(q, ModeXML)
+		ocq, _ := ora.CompileDialect(context.Background(), DialectSQL, q, ModeXML)
 		ext := federatedBindings(fcq.Res)
 		got, err := fed.Engine.EvalPlanWithTrace(context.Background(), fcq.Plan, ext, nil)
 		if err != nil {
@@ -164,7 +164,7 @@ func TestFederatedPushdownToggleMatches(t *testing.T) {
 func TestFederatedSmoke(t *testing.T) {
 	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 
-	rows, err := p.Query("SELECT ORDERID, ITEM FROM ORDERS WHERE ACCOUNTID = ? ORDER BY ORDERID", 103)
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT ORDERID, ITEM FROM ORDERS WHERE ACCOUNTID = ? ORDER BY ORDERID", 103)
 	if err != nil {
 		t.Fatalf("pinned query: %v", err)
 	}
@@ -225,7 +225,7 @@ func TestFederatedSmoke(t *testing.T) {
 func TestFederatedAmbiguity(t *testing.T) {
 	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 
-	_, err := p.Compile("SELECT * FROM RATES", ModeXML)
+	_, err := p.CompileDialect(context.Background(), DialectSQL, "SELECT * FROM RATES", ModeXML)
 	if err == nil {
 		t.Fatalf("unqualified RATES must be ambiguous")
 	}
@@ -233,7 +233,7 @@ func TestFederatedAmbiguity(t *testing.T) {
 		t.Fatalf("ambiguity must name the sources, got: %v", err)
 	}
 
-	cq, err := p.Compile("SELECT CURRENCY FROM billing.RATES.RATES ORDER BY CURRENCY", ModeXML)
+	cq, err := p.CompileDialect(context.Background(), DialectSQL, "SELECT CURRENCY FROM billing.RATES.RATES ORDER BY CURRENCY", ModeXML)
 	if err != nil {
 		t.Fatalf("source-qualified RATES must resolve: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestFederatedCacheIsolation(t *testing.T) {
 	ordersQ := "SELECT ORDERID FROM ORDERS WHERE QTY > 5"
 	invoicesQ := "SELECT INVOICEID FROM INVOICES WHERE AMOUNT > 50"
 	for _, q := range []string{ordersQ, invoicesQ} {
-		if _, err := p.Compile(q, ModeXML); err != nil {
+		if _, err := p.CompileDialect(context.Background(), DialectSQL, q, ModeXML); err != nil {
 			t.Fatalf("compile %q: %v", q, err)
 		}
 	}
@@ -280,14 +280,14 @@ func TestFederatedCacheIsolation(t *testing.T) {
 	p.InvalidateSourceMetadata("billing")
 
 	base := p.CompileStats()
-	if _, err := p.Compile(ordersQ, ModeXML); err != nil {
+	if _, err := p.CompileDialect(context.Background(), DialectSQL, ordersQ, ModeXML); err != nil {
 		t.Fatalf("recompile %q: %v", ordersQ, err)
 	}
 	s := p.CompileStats()
 	if s.Hits != base.Hits+1 {
 		t.Fatalf("central-only artifact churned by billing invalidation: %+v -> %+v", base, s)
 	}
-	if _, err := p.Compile(invoicesQ, ModeXML); err != nil {
+	if _, err := p.CompileDialect(context.Background(), DialectSQL, invoicesQ, ModeXML); err != nil {
 		t.Fatalf("recompile %q: %v", invoicesQ, err)
 	}
 	s = p.CompileStats()
@@ -302,7 +302,7 @@ func TestFederatedPartitionPruning(t *testing.T) {
 	p := federatedPlatform(t, demo.DefaultFederatedSizes, false)
 	shards := len(demo.FederatedSetup(demo.DefaultFederatedSizes, false).Spec.Shards)
 
-	cq, err := p.Compile("SELECT ORDERID FROM ORDERS WHERE ACCOUNTID = 104", ModeXML)
+	cq, err := p.CompileDialect(context.Background(), DialectSQL, "SELECT ORDERID FROM ORDERS WHERE ACCOUNTID = 104", ModeXML)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -333,8 +333,8 @@ func FuzzFederatedDifferential(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, sqlText string) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
-			fcq, ferr := fed.Compile(sqlText, mode)
-			ocq, oerr := ora.Compile(sqlText, mode)
+			fcq, ferr := fed.CompileDialect(context.Background(), DialectSQL, sqlText, mode)
+			ocq, oerr := ora.CompileDialect(context.Background(), DialectSQL, sqlText, mode)
 			if ferr != nil || oerr != nil {
 				// Resolution can legitimately differ (RATES is ambiguous only
 				// in the federation); value divergence on doubly-accepted

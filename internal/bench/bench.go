@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/demo"
+	"repro/internal/qcache"
 	"repro/internal/resultset"
 	"repro/internal/translator"
 	"repro/internal/xdm"
@@ -118,16 +119,12 @@ func BuildPayloads(rows, cols int) (*Payloads, error) {
 		return nil, err
 	}
 
-	colsMeta := make([]resultset.Column, len(resXML.Columns))
-	for i, c := range resXML.Columns {
-		colsMeta[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
-	}
 	return &Payloads{
 		Rows:    rows,
 		Cols:    cols,
 		XML:     xdm.Marshal(root),
 		Text:    xdm.StringValue(itText),
-		Columns: colsMeta,
+		Columns: qcache.ResultColumns(resXML),
 	}, nil
 }
 

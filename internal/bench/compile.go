@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/catalog"
@@ -38,14 +37,6 @@ type CompilePoint struct {
 	SpeedupColdVsTextual   float64 `json:"speedup_cold_vs_textual"`
 }
 
-func externalNames(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = "p" + strconv.Itoa(i+1)
-	}
-	return out
-}
-
 // RunCompileSweep measures the P8 compile paths per workload class over a
 // warm metadata cache (steady-state driver behavior; the metadata fetch
 // cost is P3's experiment, not this one).
@@ -57,11 +48,11 @@ func RunCompileSweep(iters int) ([]CompilePoint, error) {
 	var out []CompilePoint
 	for _, q := range TranslationWorkload {
 		// Warm up metadata and surface errors before measuring.
-		warm, err := trans.Translate(q.SQL)
+		warm, err := qcache.Compile(ctx, trans, engine, sqlparser.Front{}, q.SQL, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
-		ext := externalNames(warm.ParamCount)
+		ext := warm.ExternalVars()
 
 		textual, err := timeIt(iters, func() error {
 			res, err := trans.Translate(q.SQL)

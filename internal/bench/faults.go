@@ -12,6 +12,7 @@ import (
 	"repro/internal/demo"
 	"repro/internal/faultnet"
 	"repro/internal/obsv"
+	"repro/internal/qcache"
 	"repro/internal/resilient"
 	"repro/internal/resultset"
 	"repro/internal/translator"
@@ -112,11 +113,7 @@ func runFaultArm(rate float64, defended bool, runs int) (FaultArm, error) {
 		if err != nil {
 			return err
 		}
-		cols := make([]resultset.Column, len(res.Columns))
-		for i, c := range res.Columns {
-			cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
-		}
-		_, err = resultset.FromText(xdm.StringValue(it), cols)
+		_, err = resultset.FromText(xdm.StringValue(it), qcache.ResultColumns(res))
 		return err
 	}
 

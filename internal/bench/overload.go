@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/aqerr"
+	"repro/internal/qfront"
 	"repro/internal/remoteclient"
 	"repro/internal/server"
 	"repro/internal/translator"
@@ -269,7 +270,7 @@ func RunOverloadSweep(b server.Backend, capacity, opsPerClient int) (*OverloadRe
 	// cost-aware admission and brownout act on. Which statement is heavy
 	// is the cost model's call, read back here, not assumed.
 	costOf := func(sql string) int64 {
-		cq, cerr := b.CompileContext(context.Background(), sql, translator.ModeText)
+		cq, cerr := b.CompileDialect(context.Background(), qfront.DialectSQL, sql, translator.ModeText)
 		if cerr != nil {
 			return 1
 		}

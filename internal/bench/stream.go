@@ -71,11 +71,7 @@ func newStreamBenchEnv(rows int) (*streamBenchEnv, error) {
 	if !cq.Streamable() {
 		return nil, fmt.Errorf("P9 workload did not plan as streamable")
 	}
-	cols := make([]resultset.Column, len(cq.Res.Columns))
-	for i, c := range cq.Res.Columns {
-		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName, Type: c.Type, Nullable: c.Nullable}
-	}
-	return &streamBenchEnv{engine: engine, cq: cq, cols: cols}, nil
+	return &streamBenchEnv{engine: engine, cq: cq, cols: cq.Columns()}, nil
 }
 
 // runMaterialized is the pre-cursor delivery path: evaluate the plan to

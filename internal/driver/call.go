@@ -158,7 +158,7 @@ func (s *callStmt) queryContext(ctx context.Context, args []driver.Value) (dr dr
 			if a.paramIndex > len(args) {
 				return nil, fmt.Errorf("aqualogic: missing value for parameter %d", a.paramIndex)
 			}
-			v, err := toAtomic(args[a.paramIndex-1])
+			v, err := xdm.FromGo(args[a.paramIndex-1])
 			if err != nil {
 				return nil, err
 			}

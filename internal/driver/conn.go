@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
@@ -153,20 +152,24 @@ func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
 
 // Query implements driver.Stmt.
 func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
-	return s.queryContext(context.Background(), args)
+	plain := make([]any, len(args))
+	for i, a := range args {
+		plain[i] = a
+	}
+	return s.queryContext(context.Background(), plain)
 }
 
 // QueryContext implements driver.StmtQueryContext: the evaluation observes
 // cancellation and deadlines at tuple boundaries.
 func (s *stmt) QueryContext(ctx context.Context, args []driver.NamedValue) (driver.Rows, error) {
-	plain := make([]driver.Value, len(args))
+	plain := make([]any, len(args))
 	for i, a := range args {
 		plain[i] = a.Value
 	}
 	return s.queryContext(ctx, plain)
 }
 
-func (s *stmt) queryContext(ctx context.Context, args []driver.Value) (dr driver.Rows, err error) {
+func (s *stmt) queryContext(ctx context.Context, args []any) (dr driver.Rows, err error) {
 	// A panic below (engine bug, malformed injected data) becomes a typed
 	// internal error at this boundary instead of unwinding into database/sql.
 	defer aqerr.Recover("query", &err)
@@ -179,63 +182,18 @@ func (s *stmt) queryContext(ctx context.Context, args []driver.Value) (dr driver
 			cancel()
 		}
 	}()
-	ext := make(map[string]xdm.Sequence, len(args))
-	for i, a := range args {
-		v, err := toAtomic(a)
-		if err != nil {
-			return nil, fmt.Errorf("aqualogic: parameter %d: %v", i+1, err)
-		}
-		ext[fmt.Sprintf("p%d", i+1)] = xdm.SequenceOf(v)
-	}
 	// The trace is named by the source SQL, not the serialized XQuery: the
 	// compiled path never needs the textual form to execute.
 	tr := obsv.NewTrace(s.cq.SQL)
 	tr.Hook = s.conn.observeStage
-	cur := s.conn.engine.EvalStream(ctx, s.cq.Plan, ext, tr)
-	// Priming pulls the first chunk, so errors raised before any row exists
-	// (unbound sources, bad parameters, source faults at open) surface here
-	// synchronously, as they did on the materialized path.
-	if err := cur.Prime(); err != nil {
-		cur.Close()
+	rc, err := s.cq.Open(ctx, s.conn.engine, args, tr)
+	if err != nil {
 		return nil, aqerr.Wrap("query", err)
 	}
 	s.conn.obs.QueriesExecuted.Inc()
-	cols := make([]resultset.Column, len(s.cq.Res.Columns))
-	for i, c := range s.cq.Res.Columns {
-		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName,
-			Type: c.Type, Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
-	}
-	var rc resultset.RowCursor
-	if s.cq.Res.Mode == translator.ModeText {
-		rc = resultset.StreamText(cur, cols)
-	} else {
-		rc = resultset.StreamXML(cur, cols)
-	}
 	// Decoding now interleaves with consumption, so the decode span brackets
 	// the cursor's whole delivery window and closes with the row count.
 	return &driverRows{cur: rc, conn: s.conn, cancel: cancel, sp: tr.StartStage(obsv.StageDecode)}, nil
-}
-
-// toAtomic converts a database/sql parameter to an atomic value.
-func toAtomic(v driver.Value) (xdm.Atomic, error) {
-	switch v := v.(type) {
-	case int64:
-		return xdm.Integer(v), nil
-	case float64:
-		return xdm.Double(v), nil
-	case bool:
-		return xdm.Boolean(v), nil
-	case string:
-		return xdm.String(v), nil
-	case []byte:
-		return xdm.String(string(v)), nil
-	case time.Time:
-		return xdm.DateTime{T: v}, nil
-	case nil:
-		return nil, fmt.Errorf("NULL parameters are not supported (comparisons with NULL are never true in SQL)")
-	default:
-		return nil, fmt.Errorf("unsupported parameter type %T", v)
-	}
 }
 
 // driverRows adapts a pull row cursor to driver.Rows. Rows decode one at a

@@ -38,12 +38,15 @@ package qcache
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"strconv"
 	"sync"
 
 	"repro/internal/obsv"
 	"repro/internal/qfront"
+	"repro/internal/resultset"
 	"repro/internal/translator"
+	"repro/internal/xdm"
 	"repro/internal/xqeval"
 )
 
@@ -114,6 +117,52 @@ func (cq *CompiledQuery) ExternalVars() []string { return externalVars(cq.Res.Pa
 // through a pull cursor (compile-time decomposition succeeded) rather than
 // materializing the full result before the first row.
 func (cq *CompiledQuery) Streamable() bool { return cq.Plan.Stream.Streamable() }
+
+// Columns is the artifact's result schema in the decoders' terms.
+func (cq *CompiledQuery) Columns() []resultset.Column { return ResultColumns(cq.Res) }
+
+// ResultColumns maps a translation's result schema to the decoders'
+// column descriptors, declared facets (VARCHAR(n), DECIMAL(p,s)) included.
+func ResultColumns(res *translator.Result) []resultset.Column {
+	cols := make([]resultset.Column, len(res.Columns))
+	for i, c := range res.Columns {
+		cols[i] = resultset.Column{Label: c.Label, ElementName: c.ElementName,
+			Type: c.Type, Nullable: c.Nullable, Precision: c.Precision, Scale: c.Scale}
+	}
+	return cols
+}
+
+// Open executes the artifact: it binds args to $p1…$pN, starts the
+// streaming evaluation on engine (recording into trace, which may be nil),
+// primes it, and returns the result mode's row decoder over the cursor.
+// Errors that precede the first row — a wrong argument count, an
+// unconvertible argument, sources failing at open — are returned here;
+// later ones surface from the cursor's Next. Closing the returned cursor
+// stops the evaluation.
+func (cq *CompiledQuery) Open(ctx context.Context, engine *xqeval.Engine, args []any, trace *obsv.Trace) (resultset.RowCursor, error) {
+	if len(args) != cq.Res.ParamCount {
+		return nil, fmt.Errorf("aqualogic: statement has %d parameter(s), got %d value(s)", cq.Res.ParamCount, len(args))
+	}
+	ext := make(map[string]xdm.Sequence, len(args))
+	for i, a := range args {
+		v, err := xdm.FromGo(a)
+		if err != nil {
+			return nil, fmt.Errorf("aqualogic: parameter %d: %w", i+1, err)
+		}
+		ext["p"+strconv.Itoa(i+1)] = xdm.SequenceOf(v)
+	}
+	cur := engine.EvalStream(ctx, cq.Plan, ext, trace)
+	// Priming pulls the first chunk, so errors raised before any row exists
+	// surface synchronously rather than on the first Next.
+	if err := cur.Prime(); err != nil {
+		cur.Close()
+		return nil, err
+	}
+	if cq.Res.Mode == translator.ModeText {
+		return resultset.StreamText(cur, cq.Columns()), nil
+	}
+	return resultset.StreamXML(cur, cq.Columns()), nil
+}
 
 func externalVars(n int) []string {
 	if n == 0 {

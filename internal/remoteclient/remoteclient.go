@@ -3,8 +3,9 @@
 // speaks the internal/wire JSON protocol to an aqlserve server and
 // presents the same two surfaces the in-process platform does:
 //
-//   - the query surface (Query/QueryStreamMode returning *resultset.Rows,
-//     Prepare returning reusable statements, Explain, DefineView), and
+//   - the query surface (QueryDialect returning *resultset.Rows,
+//     PrepareDialect returning reusable statements, ExplainDialect,
+//     DefineView), and
 //   - the catalog surface (Client implements catalog.Source, including
 //     the typed NotFoundError/AmbiguousError shapes), so metadata-hungry
 //     tools browse a remote server exactly as they browse a local catalog.
@@ -276,19 +277,14 @@ func clientColumns(cols []wire.Column) []resultset.Column {
 
 // Query runs ad-hoc SQL in the default text result mode.
 func (c *Client) Query(ctx context.Context, sql string, args ...any) (*resultset.Rows, error) {
-	return c.QueryStreamMode(ctx, translator.ModeText, sql, args...)
+	return c.QueryDialect(ctx, "", translator.ModeText, sql, args...)
 }
 
-// QueryStreamMode runs ad-hoc SQL in an explicit result mode, returning a
-// streaming result set whose rows arrive in fetch-sized chunks. ctx
-// governs the whole stream: cancelling it fails the next fetch with a
-// timeout-kind error wrapping the context error.
-func (c *Client) QueryStreamMode(ctx context.Context, mode translator.ResultMode, sql string, args ...any) (*resultset.Rows, error) {
-	return c.QueryDialect(ctx, "", mode, sql, args...)
-}
-
-// QueryDialect is QueryStreamMode with an explicit query dialect. The
-// dialect name travels on the wire; empty means SQL-92, so the request a
+// QueryDialect runs an ad-hoc statement in the given dialect and result
+// mode, returning a streaming result set whose rows arrive in fetch-sized
+// chunks. ctx governs the whole stream: cancelling it fails the next
+// fetch with a timeout-kind error wrapping the context error. The dialect
+// name travels on the wire; empty means SQL-92, so the request a
 // pre-dialect client would send is byte-identical.
 func (c *Client) QueryDialect(ctx context.Context, dialect string, mode translator.ResultMode, text string, args ...any) (*resultset.Rows, error) {
 	wargs, err := encodeArgs("execute", args)
@@ -360,12 +356,8 @@ func (s *Stmt) Execute(ctx context.Context, args ...any) (*resultset.Rows, error
 	return s.c.execute(ctx, wire.ExecuteRequest{Session: s.c.session, Stmt: s.id, Args: wargs})
 }
 
-// Explain compiles a statement remotely and returns the rendered plan.
-func (c *Client) Explain(ctx context.Context, sql string, mode translator.ResultMode) (string, error) {
-	return c.ExplainDialect(ctx, "", sql, mode)
-}
-
-// ExplainDialect is Explain with an explicit query dialect ("" = SQL-92).
+// ExplainDialect compiles a statement remotely and returns the rendered
+// plan ("" = SQL-92).
 func (c *Client) ExplainDialect(ctx context.Context, dialect, text string, mode translator.ResultMode) (string, error) {
 	resp, err := postRetry[wire.ExplainResponse](ctx, c, "explain", wire.PathExplain,
 		wire.ExplainRequest{Session: c.session, SQL: text, Mode: wire.ModeName(mode), Dialect: dialect}, true)

@@ -3,9 +3,11 @@ package sqlparser
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/qfront"
 )
 
-func mustParse(t *testing.T, src string) *SelectStmt {
+func mustParse(t *testing.T, src string) *qfront.SelectStmt {
 	t.Helper()
 	stmt, err := Parse(src)
 	if err != nil {
@@ -14,9 +16,9 @@ func mustParse(t *testing.T, src string) *SelectStmt {
 	return stmt
 }
 
-func spec(t *testing.T, stmt *SelectStmt) *QuerySpec {
+func spec(t *testing.T, stmt *qfront.SelectStmt) *qfront.QuerySpec {
 	t.Helper()
-	q, ok := stmt.Body.(*QuerySpec)
+	q, ok := stmt.Body.(*qfront.QuerySpec)
 	if !ok {
 		t.Fatalf("body is %T, want *QuerySpec", stmt.Body)
 	}
@@ -29,7 +31,7 @@ func TestParseSimpleSelect(t *testing.T) {
 	if len(q.Items) != 1 || !q.Items[0].Wildcard {
 		t.Fatalf("items = %+v", q.Items)
 	}
-	tn, ok := q.From[0].(*TableName)
+	tn, ok := q.From[0].(*qfront.TableName)
 	if !ok || tn.Name != "CUSTOMERS" {
 		t.Fatalf("from = %+v", q.From[0])
 	}
@@ -41,7 +43,7 @@ func TestParseSelectItemsAliases(t *testing.T) {
 	if q.Items[0].Alias != "ID" || q.Items[1].Alias != "NAME" {
 		t.Fatalf("aliases = %q %q", q.Items[0].Alias, q.Items[1].Alias)
 	}
-	if c := q.Items[0].Expr.(*ColumnRef); c.Column != "CUSTOMERID" {
+	if c := q.Items[0].Expr.(*qfront.ColumnRef); c.Column != "CUSTOMERID" {
 		t.Fatalf("col = %+v", c)
 	}
 }
@@ -52,7 +54,7 @@ func TestParseQualifiedWildcard(t *testing.T) {
 	if !q.Items[0].Wildcard || q.Items[0].Qualifier != "C" {
 		t.Fatalf("item 0 = %+v", q.Items[0])
 	}
-	ref := q.Items[1].Expr.(*ColumnRef)
+	ref := q.Items[1].Expr.(*qfront.ColumnRef)
 	if ref.Qualifier != "O" || ref.Column != "ORDERID" {
 		t.Fatalf("item 1 = %+v", ref)
 	}
@@ -64,12 +66,12 @@ func TestParseQualifiedWildcard(t *testing.T) {
 func TestParseWhereComparison(t *testing.T) {
 	stmt := mustParse(t, "SELECT A FROM T WHERE A > 10 AND B = 'x' OR C <> 1.5")
 	q := spec(t, stmt)
-	or, ok := q.Where.(*BinaryExpr)
-	if !ok || or.Op != BinOr {
+	or, ok := q.Where.(*qfront.BinaryExpr)
+	if !ok || or.Op != qfront.BinOr {
 		t.Fatalf("top = %+v", q.Where)
 	}
-	and := or.Left.(*BinaryExpr)
-	if and.Op != BinAnd {
+	and := or.Left.(*qfront.BinaryExpr)
+	if and.Op != qfront.BinAnd {
 		t.Fatalf("left = %+v", or.Left)
 	}
 }
@@ -78,18 +80,18 @@ func TestParseArithmeticPrecedence(t *testing.T) {
 	stmt := mustParse(t, "SELECT A + B * C - D / 2 FROM T")
 	q := spec(t, stmt)
 	// Expect ((A + (B*C)) - (D/2))
-	top := q.Items[0].Expr.(*BinaryExpr)
-	if top.Op != BinSub {
+	top := q.Items[0].Expr.(*qfront.BinaryExpr)
+	if top.Op != qfront.BinSub {
 		t.Fatalf("top op = %v", top.Op)
 	}
-	add := top.Left.(*BinaryExpr)
-	if add.Op != BinAdd {
+	add := top.Left.(*qfront.BinaryExpr)
+	if add.Op != qfront.BinAdd {
 		t.Fatalf("left = %v", add.Op)
 	}
-	if mul := add.Right.(*BinaryExpr); mul.Op != BinMul {
+	if mul := add.Right.(*qfront.BinaryExpr); mul.Op != qfront.BinMul {
 		t.Fatalf("B*C = %v", mul.Op)
 	}
-	if div := top.Right.(*BinaryExpr); div.Op != BinDiv {
+	if div := top.Right.(*qfront.BinaryExpr); div.Op != qfront.BinDiv {
 		t.Fatalf("D/2 = %v", div.Op)
 	}
 }
@@ -97,11 +99,11 @@ func TestParseArithmeticPrecedence(t *testing.T) {
 func TestParseParenthesesOverridePrecedence(t *testing.T) {
 	stmt := mustParse(t, "SELECT (A + B) * C FROM T")
 	q := spec(t, stmt)
-	top := q.Items[0].Expr.(*BinaryExpr)
-	if top.Op != BinMul {
+	top := q.Items[0].Expr.(*qfront.BinaryExpr)
+	if top.Op != qfront.BinMul {
 		t.Fatalf("top = %v", top.Op)
 	}
-	if inner := top.Left.(*BinaryExpr); inner.Op != BinAdd {
+	if inner := top.Left.(*qfront.BinaryExpr); inner.Op != qfront.BinAdd {
 		t.Fatalf("inner = %v", inner.Op)
 	}
 }
@@ -109,11 +111,11 @@ func TestParseParenthesesOverridePrecedence(t *testing.T) {
 func TestParseUnaryMinus(t *testing.T) {
 	stmt := mustParse(t, "SELECT -A, -5 + 3 FROM T")
 	q := spec(t, stmt)
-	if u := q.Items[0].Expr.(*UnaryExpr); u.Op != UnaryMinus {
+	if u := q.Items[0].Expr.(*qfront.UnaryExpr); u.Op != qfront.UnaryMinus {
 		t.Fatalf("item 0 = %+v", q.Items[0].Expr)
 	}
-	top := q.Items[1].Expr.(*BinaryExpr)
-	if top.Op != BinAdd {
+	top := q.Items[1].Expr.(*qfront.BinaryExpr)
+	if top.Op != qfront.BinAdd {
 		t.Fatalf("item 1 top = %v", top.Op)
 	}
 }
@@ -121,26 +123,26 @@ func TestParseUnaryMinus(t *testing.T) {
 func TestParseJoins(t *testing.T) {
 	cases := []struct {
 		src string
-		typ JoinType
+		typ qfront.JoinType
 	}{
-		{"SELECT * FROM A JOIN B ON A.X = B.Y", JoinInner},
-		{"SELECT * FROM A INNER JOIN B ON A.X = B.Y", JoinInner},
-		{"SELECT * FROM A LEFT JOIN B ON A.X = B.Y", JoinLeftOuter},
-		{"SELECT * FROM A LEFT OUTER JOIN B ON A.X = B.Y", JoinLeftOuter},
-		{"SELECT * FROM A RIGHT OUTER JOIN B ON A.X = B.Y", JoinRightOuter},
-		{"SELECT * FROM A FULL OUTER JOIN B ON A.X = B.Y", JoinFullOuter},
-		{"SELECT * FROM A CROSS JOIN B", JoinCross},
+		{"SELECT * FROM A JOIN B ON A.X = B.Y", qfront.JoinInner},
+		{"SELECT * FROM A INNER JOIN B ON A.X = B.Y", qfront.JoinInner},
+		{"SELECT * FROM A LEFT JOIN B ON A.X = B.Y", qfront.JoinLeftOuter},
+		{"SELECT * FROM A LEFT OUTER JOIN B ON A.X = B.Y", qfront.JoinLeftOuter},
+		{"SELECT * FROM A RIGHT OUTER JOIN B ON A.X = B.Y", qfront.JoinRightOuter},
+		{"SELECT * FROM A FULL OUTER JOIN B ON A.X = B.Y", qfront.JoinFullOuter},
+		{"SELECT * FROM A CROSS JOIN B", qfront.JoinCross},
 	}
 	for _, c := range cases {
 		q := spec(t, mustParse(t, c.src))
-		j, ok := q.From[0].(*JoinExpr)
+		j, ok := q.From[0].(*qfront.JoinExpr)
 		if !ok {
 			t.Fatalf("%q: from = %T", c.src, q.From[0])
 		}
 		if j.Type != c.typ {
 			t.Fatalf("%q: type = %v, want %v", c.src, j.Type, c.typ)
 		}
-		if c.typ != JoinCross && j.Cond == nil {
+		if c.typ != qfront.JoinCross && j.Cond == nil {
 			t.Fatalf("%q: missing ON condition", c.src)
 		}
 	}
@@ -148,12 +150,12 @@ func TestParseJoins(t *testing.T) {
 
 func TestParseJoinChain(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT * FROM A JOIN B ON A.X=B.X JOIN C ON B.Y=C.Y"))
-	outer := q.From[0].(*JoinExpr)
-	inner, ok := outer.Left.(*JoinExpr)
+	outer := q.From[0].(*qfront.JoinExpr)
+	inner, ok := outer.Left.(*qfront.JoinExpr)
 	if !ok {
 		t.Fatalf("joins should left-associate, left = %T", outer.Left)
 	}
-	if inner.Left.(*TableName).Name != "A" || outer.Right.(*TableName).Name != "C" {
+	if inner.Left.(*qfront.TableName).Name != "A" || outer.Right.(*qfront.TableName).Name != "C" {
 		t.Fatal("wrong join association")
 	}
 }
@@ -162,8 +164,8 @@ func TestParseParenthesizedJoinWithAlias(t *testing.T) {
 	// The paper's §3.4.2 example.
 	src := "SELECT * FROM (A JOIN (B JOIN C ON B.C1 = C.C2) AS P ON A.C1 = P.C1)"
 	q := spec(t, mustParse(t, src))
-	outer := q.From[0].(*JoinExpr)
-	innerJoin, ok := outer.Right.(*JoinExpr)
+	outer := q.From[0].(*qfront.JoinExpr)
+	innerJoin, ok := outer.Right.(*qfront.JoinExpr)
 	if !ok {
 		t.Fatalf("right side should be a join, got %T", outer.Right)
 	}
@@ -174,11 +176,11 @@ func TestParseParenthesizedJoinWithAlias(t *testing.T) {
 
 func TestParseNaturalAndUsing(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT * FROM A NATURAL JOIN B"))
-	if j := q.From[0].(*JoinExpr); !j.Natural {
+	if j := q.From[0].(*qfront.JoinExpr); !j.Natural {
 		t.Fatal("natural flag not set")
 	}
 	q = spec(t, mustParse(t, "SELECT * FROM A JOIN B USING (X, Y)"))
-	j := q.From[0].(*JoinExpr)
+	j := q.From[0].(*qfront.JoinExpr)
 	if len(j.Using) != 2 || j.Using[0] != "X" {
 		t.Fatalf("using = %v", j.Using)
 	}
@@ -187,7 +189,7 @@ func TestParseNaturalAndUsing(t *testing.T) {
 func TestParseDerivedTable(t *testing.T) {
 	src := "SELECT INFO.ID FROM (SELECT CUSTOMERID ID FROM CUSTOMERS) AS INFO WHERE INFO.ID > 10"
 	q := spec(t, mustParse(t, src))
-	d, ok := q.From[0].(*DerivedTable)
+	d, ok := q.From[0].(*qfront.DerivedTable)
 	if !ok || d.Alias != "INFO" {
 		t.Fatalf("from = %+v", q.From[0])
 	}
@@ -205,7 +207,7 @@ func TestParseDerivedTableRequiresAlias(t *testing.T) {
 
 func TestParseDerivedColumnList(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT * FROM (SELECT A, B FROM T) AS D (X, Y)"))
-	d := q.From[0].(*DerivedTable)
+	d := q.From[0].(*qfront.DerivedTable)
 	if len(d.ColumnAliases) != 2 || d.ColumnAliases[1] != "Y" {
 		t.Fatalf("column aliases = %v", d.ColumnAliases)
 	}
@@ -220,7 +222,7 @@ func TestParseGroupByHaving(t *testing.T) {
 	if q.Having == nil {
 		t.Fatal("missing having")
 	}
-	f := q.Items[1].Expr.(*FuncCall)
+	f := q.Items[1].Expr.(*qfront.FuncCall)
 	if !f.Star || f.Name != "COUNT" || !f.IsAggregate() {
 		t.Fatalf("count(*) = %+v", f)
 	}
@@ -228,7 +230,7 @@ func TestParseGroupByHaving(t *testing.T) {
 
 func TestParseAggregateDistinct(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT COUNT(DISTINCT CITY) FROM T"))
-	f := q.Items[0].Expr.(*FuncCall)
+	f := q.Items[0].Expr.(*qfront.FuncCall)
 	if !f.Distinct || len(f.Args) != 1 {
 		t.Fatalf("f = %+v", f)
 	}
@@ -245,7 +247,7 @@ func TestParseOrderBy(t *testing.T) {
 	if !stmt.OrderBy[0].Desc || stmt.OrderBy[2].Desc {
 		t.Fatal("desc flags wrong")
 	}
-	if lit, ok := stmt.OrderBy[1].Expr.(*Literal); !ok || lit.Text != "2" {
+	if lit, ok := stmt.OrderBy[1].Expr.(*qfront.Literal); !ok || lit.Text != "2" {
 		t.Fatalf("ordinal = %+v", stmt.OrderBy[1].Expr)
 	}
 }
@@ -253,19 +255,19 @@ func TestParseOrderBy(t *testing.T) {
 func TestParseSetOps(t *testing.T) {
 	stmt := mustParse(t, "SELECT A FROM T UNION SELECT A FROM U INTERSECT SELECT A FROM V")
 	// INTERSECT binds tighter: UNION(T, INTERSECT(U, V))
-	union, ok := stmt.Body.(*SetOpExpr)
-	if !ok || union.Op != SetUnion {
+	union, ok := stmt.Body.(*qfront.SetOpExpr)
+	if !ok || union.Op != qfront.SetUnion {
 		t.Fatalf("top = %+v", stmt.Body)
 	}
-	inter, ok := union.Right.(*SetOpExpr)
-	if !ok || inter.Op != SetIntersect {
+	inter, ok := union.Right.(*qfront.SetOpExpr)
+	if !ok || inter.Op != qfront.SetIntersect {
 		t.Fatalf("right = %+v", union.Right)
 	}
 }
 
 func TestParseUnionAll(t *testing.T) {
 	stmt := mustParse(t, "SELECT A FROM T UNION ALL SELECT A FROM U")
-	u := stmt.Body.(*SetOpExpr)
+	u := stmt.Body.(*qfront.SetOpExpr)
 	if !u.All {
 		t.Fatal("ALL flag not set")
 	}
@@ -273,15 +275,15 @@ func TestParseUnionAll(t *testing.T) {
 
 func TestParseExcept(t *testing.T) {
 	stmt := mustParse(t, "(SELECT A FROM T) EXCEPT (SELECT A FROM U)")
-	u := stmt.Body.(*SetOpExpr)
-	if u.Op != SetExcept {
+	u := stmt.Body.(*qfront.SetOpExpr)
+	if u.Op != qfront.SetExcept {
 		t.Fatalf("op = %v", u.Op)
 	}
 }
 
 func TestParseOrderByAppliesToWholeSetOp(t *testing.T) {
 	stmt := mustParse(t, "SELECT A FROM T UNION SELECT A FROM U ORDER BY A")
-	if _, ok := stmt.Body.(*SetOpExpr); !ok {
+	if _, ok := stmt.Body.(*qfront.SetOpExpr); !ok {
 		t.Fatalf("body = %T", stmt.Body)
 	}
 	if len(stmt.OrderBy) != 1 {
@@ -302,41 +304,41 @@ func TestParsePredicates(t *testing.T) {
 		AND I = ANY (SELECT Y FROM W)
 		AND J < ALL (SELECT Z FROM X2)`))
 	var kinds []string
-	var visit func(Expr)
-	visit = func(e Expr) {
-		if b, ok := e.(*BinaryExpr); ok && b.Op == BinAnd {
+	var visit func(qfront.Expr)
+	visit = func(e qfront.Expr) {
+		if b, ok := e.(*qfront.BinaryExpr); ok && b.Op == qfront.BinAnd {
 			visit(b.Left)
 			visit(b.Right)
 			return
 		}
 		switch e := e.(type) {
-		case *BetweenExpr:
+		case *qfront.BetweenExpr:
 			if e.Not {
 				kinds = append(kinds, "notbetween")
 			} else {
 				kinds = append(kinds, "between")
 			}
-		case *InExpr:
+		case *qfront.InExpr:
 			if e.Subquery != nil {
 				kinds = append(kinds, "insub")
 			} else {
 				kinds = append(kinds, "inlist")
 			}
-		case *LikeExpr:
+		case *qfront.LikeExpr:
 			if e.Escape != nil {
 				kinds = append(kinds, "likeesc")
 			} else {
 				kinds = append(kinds, "like")
 			}
-		case *IsNullExpr:
+		case *qfront.IsNullExpr:
 			if e.Not {
 				kinds = append(kinds, "notnull")
 			} else {
 				kinds = append(kinds, "isnull")
 			}
-		case *ExistsExpr:
+		case *qfront.ExistsExpr:
 			kinds = append(kinds, "exists")
-		case *QuantifiedExpr:
+		case *qfront.QuantifiedExpr:
 			kinds = append(kinds, "quant:"+e.Quant.String())
 		default:
 			kinds = append(kinds, "other")
@@ -351,12 +353,12 @@ func TestParsePredicates(t *testing.T) {
 
 func TestParseCase(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT CASE WHEN A > 1 THEN 'big' ELSE 'small' END FROM T"))
-	c := q.Items[0].Expr.(*CaseExpr)
+	c := q.Items[0].Expr.(*qfront.CaseExpr)
 	if c.Operand != nil || len(c.Whens) != 1 || c.Else == nil {
 		t.Fatalf("case = %+v", c)
 	}
 	q = spec(t, mustParse(t, "SELECT CASE A WHEN 1 THEN 'one' WHEN 2 THEN 'two' END FROM T"))
-	c = q.Items[0].Expr.(*CaseExpr)
+	c = q.Items[0].Expr.(*qfront.CaseExpr)
 	if c.Operand == nil || len(c.Whens) != 2 || c.Else != nil {
 		t.Fatalf("case = %+v", c)
 	}
@@ -367,11 +369,11 @@ func TestParseCase(t *testing.T) {
 
 func TestParseCast(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT CAST(A AS DECIMAL(10, 2)), CAST(B AS INT) FROM T"))
-	c := q.Items[0].Expr.(*CastExpr)
+	c := q.Items[0].Expr.(*qfront.CastExpr)
 	if c.Type.Name != "DECIMAL" || c.Type.Precision != 10 || c.Type.Scale != 2 {
 		t.Fatalf("type = %+v", c.Type)
 	}
-	c2 := q.Items[1].Expr.(*CastExpr)
+	c2 := q.Items[1].Expr.(*qfront.CastExpr)
 	if c2.Type.Name != "INTEGER" {
 		t.Fatalf("INT should canonicalize to INTEGER, got %s", c2.Type.Name)
 	}
@@ -383,17 +385,17 @@ func TestParseSpecialFunctionForms(t *testing.T) {
 		TRIM(LEADING FROM NAME), TRIM(NAME), TRIM(BOTH 'x' FROM NAME) FROM T`))
 	names := []string{}
 	for _, it := range q.Items {
-		names = append(names, it.Expr.(*FuncCall).Name)
+		names = append(names, it.Expr.(*qfront.FuncCall).Name)
 	}
 	want := "SUBSTRING SUBSTRING POSITION EXTRACT_YEAR LTRIM TRIM TRIM"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("names = %s, want %s", got, want)
 	}
-	sub := q.Items[0].Expr.(*FuncCall)
+	sub := q.Items[0].Expr.(*qfront.FuncCall)
 	if len(sub.Args) != 3 {
 		t.Fatalf("substring args = %d", len(sub.Args))
 	}
-	trimBoth := q.Items[6].Expr.(*FuncCall)
+	trimBoth := q.Items[6].Expr.(*qfront.FuncCall)
 	if len(trimBoth.Args) != 2 {
 		t.Fatalf("trim-both args = %d", len(trimBoth.Args))
 	}
@@ -402,8 +404,8 @@ func TestParseSpecialFunctionForms(t *testing.T) {
 func TestParseDatetimeLiterals(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT * FROM T WHERE D = DATE '2006-01-02' AND TS = TIMESTAMP '2006-01-02 10:00:00'"))
 	refs := 0
-	WalkExpr(q.Where, func(e Expr) bool {
-		if l, ok := e.(*Literal); ok && (l.Type == LitDate || l.Type == LitTimestamp) {
+	qfront.WalkExpr(q.Where, func(e qfront.Expr) bool {
+		if l, ok := e.(*qfront.Literal); ok && (l.Type == qfront.LitDate || l.Type == qfront.LitTimestamp) {
 			refs++
 		}
 		return true
@@ -419,7 +421,7 @@ func TestParseParams(t *testing.T) {
 		t.Fatalf("param count = %d", stmt.ParamCount)
 	}
 	q := spec(t, stmt)
-	params := CollectParams(q.Where)
+	params := qfront.CollectParams(q.Where)
 	if len(params) != 2 || params[0].Index != 1 || params[1].Index != 2 {
 		t.Fatalf("params = %+v", params)
 	}
@@ -427,22 +429,22 @@ func TestParseParams(t *testing.T) {
 
 func TestParseScalarSubquery(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT (SELECT MAX(X) FROM U) FROM T"))
-	if _, ok := q.Items[0].Expr.(*SubqueryExpr); !ok {
+	if _, ok := q.Items[0].Expr.(*qfront.SubqueryExpr); !ok {
 		t.Fatalf("item = %T", q.Items[0].Expr)
 	}
 }
 
 func TestParseConcat(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT A || B || 'x' FROM T"))
-	top := q.Items[0].Expr.(*BinaryExpr)
-	if top.Op != BinConcat {
+	top := q.Items[0].Expr.(*qfront.BinaryExpr)
+	if top.Op != qfront.BinConcat {
 		t.Fatalf("op = %v", top.Op)
 	}
 }
 
 func TestParseStringConcatFunction(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT CONCAT(A, B) FROM T"))
-	f := q.Items[0].Expr.(*FuncCall)
+	f := q.Items[0].Expr.(*qfront.FuncCall)
 	if f.Name != "CONCAT" || len(f.Args) != 2 {
 		t.Fatalf("f = %+v", f)
 	}
@@ -519,21 +521,21 @@ func TestSQLRoundTripReparses(t *testing.T) {
 
 func TestWalkHelpers(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT SUM(A + B), C FROM T WHERE D > (SELECT MAX(E) FROM U)"))
-	if !ContainsAggregate(q.Items[0].Expr) {
+	if !qfront.ContainsAggregate(q.Items[0].Expr) {
 		t.Fatal("SUM should be detected")
 	}
-	if ContainsAggregate(q.Items[1].Expr) {
+	if qfront.ContainsAggregate(q.Items[1].Expr) {
 		t.Fatal("C is not an aggregate")
 	}
 	// Aggregates inside subqueries must not leak out.
-	if ContainsAggregate(q.Where) {
+	if qfront.ContainsAggregate(q.Where) {
 		t.Fatal("MAX inside subquery should not count at the outer level")
 	}
-	refs := CollectColumnRefs(q.Items[0].Expr)
+	refs := qfront.CollectColumnRefs(q.Items[0].Expr)
 	if len(refs) != 2 {
 		t.Fatalf("refs = %v", refs)
 	}
-	aggs := CollectAggregates(q.Items[0].Expr)
+	aggs := qfront.CollectAggregates(q.Items[0].Expr)
 	if len(aggs) != 1 || aggs[0].Name != "SUM" {
 		t.Fatalf("aggs = %v", aggs)
 	}
@@ -542,8 +544,8 @@ func TestWalkHelpers(t *testing.T) {
 func TestWalkTableRefs(t *testing.T) {
 	q := spec(t, mustParse(t, "SELECT * FROM A JOIN B ON A.X=B.X, C"))
 	var names []string
-	WalkTableRefs(q.From, func(r TableRef) {
-		if tn, ok := r.(*TableName); ok {
+	qfront.WalkTableRefs(q.From, func(r qfront.TableRef) {
+		if tn, ok := r.(*qfront.TableName); ok {
 			names = append(names, tn.Name)
 		}
 	})

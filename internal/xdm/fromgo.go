@@ -1,15 +1,21 @@
 package xdm
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
 
+// ErrNullParameter refuses a NULL statement parameter: a `?` bound to NULL
+// could only ever compare unknown.
+var ErrNullParameter = errors.New("NULL parameters are not supported (comparisons with NULL are never true in SQL)")
+
 // FromGo converts a Go value to an atomic value, accepting the types
 // database/sql users pass as statement parameters. It is the single
-// Go-to-XDM parameter conversion shared by the aqualogic facade and the
-// remote client, so a parameter bound over the wire means exactly what it
-// means in process.
+// Go-to-XDM parameter conversion shared by compiled-statement execution
+// (the facade and the database/sql driver), CALL statements, and the
+// remote client, so a parameter means the same thing — and a NULL one is
+// refused with the same message — on every path.
 func FromGo(v any) (Atomic, error) {
 	switch v := v.(type) {
 	case int:
@@ -32,6 +38,8 @@ func FromGo(v any) (Atomic, error) {
 		return DateTime{T: v}, nil
 	case Atomic:
 		return v, nil
+	case nil:
+		return nil, ErrNullParameter
 	default:
 		return nil, fmt.Errorf("unsupported parameter type %T", v)
 	}

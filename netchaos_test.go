@@ -37,7 +37,7 @@ func TestNetChaosDifferential(t *testing.T) {
 	oracle := make(map[key]string)
 	for _, sql := range chaosCorpus() {
 		for _, mode := range modes {
-			rows, err := p.QueryMode(mode, sql, chaosArgs(strings.Count(sql, "?"))...)
+			rows, err := p.QueryDialect(context.Background(), DialectSQL, mode, sql, chaosArgs(strings.Count(sql, "?"))...)
 			if err != nil {
 				t.Fatalf("oracle %q: %v", sql, err)
 			}
@@ -97,7 +97,7 @@ func TestNetChaosDifferential(t *testing.T) {
 			for _, mode := range modes {
 				attempts++
 				ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-				rows, err := c.QueryStreamMode(ctx, mode, sql, chaosArgs(strings.Count(sql, "?"))...)
+				rows, err := c.QueryDialect(ctx, "", mode, sql, chaosArgs(strings.Count(sql, "?"))...)
 				var got string
 				if err == nil {
 					got, err = marshalStreamed(rows)

@@ -104,7 +104,7 @@ func TestPathMatchesSQLFrontend(t *testing.T) {
 		sqlText := stmt.SQL()
 		args := chaosArgs(stmt.ParamCount)
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
-			viaSQL, err := p.QueryMode(mode, sqlText, args...)
+			viaSQL, err := p.QueryDialect(context.Background(), DialectSQL, mode, sqlText, args...)
 			if err != nil {
 				t.Fatalf("%s: mode %v: lowered SQL %q: %v", tc.name, mode, sqlText, err)
 			}

@@ -14,9 +14,9 @@ import (
 )
 
 // TestPlatformConcurrentUse exercises the facade from many goroutines:
-// Translate, Query, Explain, MetadataStats and DefineView all share the
-// platform's lazily-built metadata cache, so this pins the guarded
-// initialization path under -race.
+// TranslateDialect, QueryDialect, ExplainDialect, MetadataStats and
+// DefineView all share the platform's lazily-built metadata cache, so
+// this pins the guarded initialization path under -race.
 func TestPlatformConcurrentUse(t *testing.T) {
 	p := Demo()
 	var wg sync.WaitGroup
@@ -27,12 +27,12 @@ func TestPlatformConcurrentUse(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				switch (g + i) % 4 {
 				case 0:
-					if _, err := p.Translate("SELECT CUSTOMERID FROM CUSTOMERS", ModeXML); err != nil {
+					if _, err := p.TranslateDialect(DialectSQL, "SELECT CUSTOMERID FROM CUSTOMERS", ModeXML); err != nil {
 						t.Errorf("translate: %v", err)
 						return
 					}
 				case 1:
-					rows, err := p.Query("SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < 1010")
+					rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID < 1010")
 					if err != nil {
 						t.Errorf("query: %v", err)
 						return
@@ -42,7 +42,7 @@ func TestPlatformConcurrentUse(t *testing.T) {
 						return
 					}
 				case 2:
-					if _, tr, err := p.Explain("SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || tr == nil {
+					if _, tr, err := p.ExplainDialect(DialectSQL, "SELECT COUNT(*) FROM PAYMENTS", ModeXML); err != nil || tr == nil {
 						t.Errorf("explain: %v", err)
 						return
 					}
@@ -75,7 +75,7 @@ func TestPlatformConcurrentViews(t *testing.T) {
 					t.Errorf("define view: %v", err)
 					return
 				}
-				rows, err := p.Query("SELECT CITY FROM " + name + " WHERE CUSTOMERID = 1000")
+				rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CITY FROM "+name+" WHERE CUSTOMERID = 1000")
 				if err != nil {
 					t.Errorf("query view: %v", err)
 					return
@@ -136,7 +136,7 @@ func TestServeConcurrentSessions(t *testing.T) {
 					}
 					rows.Close()
 				case 1: // mid-stream disconnect: one row, then walk away
-					rows, err := c.QueryStreamMode(context.Background(), ModeXML,
+					rows, err := c.QueryDialect(context.Background(), "", ModeXML,
 						"SELECT C.CUSTOMERID FROM CUSTOMERS C, PAYMENTS P")
 					if err != nil {
 						t.Errorf("worker %d: big execute: %v", g, err)

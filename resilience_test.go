@@ -37,14 +37,14 @@ func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	holder, err := c.QueryStreamMode(ctx, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	holder, err := c.QueryDialect(ctx, "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer holder.Close()
 
 	// Shed arm: admission rejects, typed, with backoff guidance.
-	_, err = c.QueryStreamMode(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
+	_, err = c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("shed: %v, want unavailable QueryError", err)
@@ -59,7 +59,7 @@ func TestShedVsCancelTaxonomyAcrossWire(t *testing.T) {
 	// Cancel arm: the caller's own context, not server capacity.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	_, err = c.QueryStreamMode(cctx, ModeText, "SELECT CITY FROM CUSTOMERS")
+	_, err = c.QueryDialect(cctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindTimeout {
 		t.Fatalf("cancel: %v, want timeout-kind QueryError", err)
 	}
@@ -210,7 +210,7 @@ func TestFetchAgainstRestartedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.QueryStreamMode(context.Background(), ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	rows, err := c.QueryDialect(context.Background(), "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFetchAgainstRestartedServer(t *testing.T) {
 		t.Fatalf("redial after restart: %v", err)
 	}
 	defer c2.Close()
-	fresh, err := c2.QueryStreamMode(context.Background(), ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = 1005")
+	fresh, err := c2.QueryDialect(context.Background(), "", ModeText, "SELECT CITY FROM CUSTOMERS WHERE CUSTOMERID = 1005")
 	if err != nil {
 		t.Fatalf("query after restart: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestHedgedFetchNoLeak(t *testing.T) {
 	}
 	want := ""
 	for i := 0; i < 5; i++ {
-		rows, err := c.QueryStreamMode(context.Background(), ModeText,
+		rows, err := c.QueryDialect(context.Background(), "", ModeText,
 			"SELECT CUSTOMERID, CITY FROM CUSTOMERS WHERE CUSTOMERID < 1008")
 		if err != nil {
 			t.Fatal(err)

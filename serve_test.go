@@ -12,6 +12,7 @@ package aqualogic
 import (
 	"bytes"
 	"context"
+	"database/sql"
 	"encoding/json"
 	"errors"
 	"net"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/faultnet"
 	"repro/internal/remoteclient"
+	"repro/internal/resultset"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -79,12 +81,12 @@ func TestServedMatchesInProcess(t *testing.T) {
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
 		for _, sql := range compiledCorpus() {
 			args := chaosArgs(strings.Count(sql, "?"))
-			local, err := p.QueryMode(mode, sql, args...)
+			local, err := p.QueryDialect(context.Background(), DialectSQL, mode, sql, args...)
 			if err != nil {
 				t.Fatalf("mode %v: %q: in-process: %v", mode, sql, err)
 			}
 			want := marshalRows(local)
-			remote, err := c.QueryStreamMode(context.Background(), mode, sql, args...)
+			remote, err := c.QueryDialect(context.Background(), "", mode, sql, args...)
 			if err != nil {
 				t.Fatalf("mode %v: %q: served: %v", mode, sql, err)
 			}
@@ -107,13 +109,85 @@ func TestServedMatchesInProcess(t *testing.T) {
 		"SELECT CUSTOMERID FROM",
 	}
 	for _, sql := range failing {
-		_, lerr := p.QueryMode(ModeText, sql)
-		_, rerr := c.QueryStreamMode(context.Background(), ModeText, sql)
+		_, lerr := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql)
+		_, rerr := c.QueryDialect(context.Background(), "", ModeText, sql)
 		if lerr == nil || rerr == nil {
 			t.Fatalf("%q: expected both paths to fail (local=%v remote=%v)", sql, lerr, rerr)
 		}
 		if lk, rk := errKindName(lerr), errKindName(rerr); lk != rk {
 			t.Fatalf("%q: error kind diverged: in-process %s, served %s (%v vs %v)", sql, lk, rk, lerr, rerr)
+		}
+	}
+}
+
+// TestColumnFacetsAgreeOnEveryPath pins one result schema across every
+// surface that reports it: the facade's rows, a served prepare, served
+// executions (prepared and ad hoc), and the database/sql driver must all
+// carry the declared VARCHAR(64) and DECIMAL(10,2) facets.
+func TestColumnFacetsAgreeOnEveryPath(t *testing.T) {
+	const query = "SELECT CUSTOMERNAME, PAYMENT FROM CUSTOMERS C, PAYMENTS P WHERE C.CUSTOMERID = P.CUSTID"
+	want := []struct {
+		typ              catalog.SQLType
+		precision, scale int
+	}{{catalog.SQLVarchar, 64, 0}, {catalog.SQLDecimal, 10, 2}}
+	check := func(path string, cols []resultset.Column) {
+		t.Helper()
+		if len(cols) != len(want) {
+			t.Fatalf("%s: %d columns, want %d", path, len(cols), len(want))
+		}
+		for i, w := range want {
+			if c := cols[i]; c.Type != w.typ || c.Precision != w.precision || c.Scale != w.scale {
+				t.Errorf("%s: column %s = %v(%d,%d), want %v(%d,%d)",
+					path, c.Label, c.Type, c.Precision, c.Scale, w.typ, w.precision, w.scale)
+			}
+		}
+	}
+	ctx := context.Background()
+	p, _, c := newLoopback(t, server.Config{SessionIdleTimeout: time.Minute})
+
+	rows, err := p.QueryDialect(ctx, DialectSQL, ModeText, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("facade rows", rows.Columns())
+	rows.Close()
+
+	st, err := c.Prepare(ctx, query, ModeText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("remote prepare", st.Columns())
+	if rows, err = st.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("remote prepared execute", rows.Columns())
+	rows.Close()
+	if rows, err = c.Query(ctx, query); err != nil {
+		t.Fatal(err)
+	}
+	check("remote ad-hoc execute", rows.Columns())
+	rows.Close()
+
+	p.RegisterDriver("facets-test")
+	db, err := sql.Open("aqualogic", "facets-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	dbRows, err := db.Query(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbRows.Close()
+	types, err := dbRows.ColumnTypes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		precision, scale, ok := types[i].DecimalSize()
+		if !ok || precision != int64(w.precision) || scale != int64(w.scale) {
+			t.Errorf("driver: column %s DecimalSize = (%d, %d, %v), want (%d, %d, true)",
+				types[i].Name(), precision, scale, ok, w.precision, w.scale)
 		}
 	}
 }
@@ -134,7 +208,7 @@ func FuzzServeDifferential(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
-			cq, err := p.Compile(sql, mode)
+			cq, err := p.CompileDialect(context.Background(), DialectSQL, sql, mode)
 			if err != nil || cq.Res.ParamCount > 2 {
 				return
 			}
@@ -142,12 +216,12 @@ func FuzzServeDifferential(f *testing.F) {
 				return // nondeterministic between the two evaluations
 			}
 			args := chaosArgs(cq.Res.ParamCount)
-			local, lerr := p.QueryMode(mode, sql, args...)
+			local, lerr := p.QueryDialect(context.Background(), DialectSQL, mode, sql, args...)
 			var want string
 			if lerr == nil {
 				want = marshalRows(local)
 			}
-			remote, rerr := c.QueryStreamMode(context.Background(), mode, sql, args...)
+			remote, rerr := c.QueryDialect(context.Background(), "", mode, sql, args...)
 			var got string
 			if rerr == nil {
 				got, rerr = drainClose(remote)
@@ -289,7 +363,7 @@ func TestServeSessionReap(t *testing.T) {
 	})
 
 	// Open a cursor over a large join and abandon it mid-stream.
-	rows, err := c.QueryStreamMode(context.Background(), ModeText,
+	rows, err := c.QueryDialect(context.Background(), "", ModeText,
 		"SELECT C.CUSTOMERID FROM CUSTOMERS C, PAYMENTS P WHERE C.CUSTOMERID = P.CUSTID")
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +386,7 @@ func TestServeSessionReap(t *testing.T) {
 	}
 
 	// The reaped session is gone: new work on it is typed unavailable.
-	_, err = c.QueryStreamMode(context.Background(), ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	_, err = c.QueryDialect(context.Background(), "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("execute on reaped session: %v, want unavailable QueryError", err)
@@ -331,12 +405,12 @@ func TestServeAdmissionControl(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	holder, err := c.QueryStreamMode(ctx, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	holder, err := c.QueryDialect(ctx, "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = c.QueryStreamMode(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
+	_, err = c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
 	var qe *aqerr.QueryError
 	if !errors.As(err, &qe) || qe.Kind != aqerr.KindUnavailable {
 		t.Fatalf("over-admission execute: %v, want unavailable QueryError", err)
@@ -346,7 +420,7 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 
 	holder.Close() // releases the slot
-	again, err := c.QueryStreamMode(ctx, ModeText, "SELECT CITY FROM CUSTOMERS")
+	again, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
 	if err != nil {
 		t.Fatalf("execute after release: %v", err)
 	}
@@ -403,7 +477,7 @@ func TestServePreparedAcrossViewChange(t *testing.T) {
 	}
 
 	// The new view is queryable in the same session.
-	vrows, err := c.QueryStreamMode(ctx, ModeText, "SELECT CITY FROM V_SERVE_CHURN WHERE CUSTOMERID = 1005")
+	vrows, err := c.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM V_SERVE_CHURN WHERE CUSTOMERID = 1005")
 	if err != nil {
 		t.Fatalf("query new view: %v", err)
 	}
@@ -423,7 +497,7 @@ func TestRowsErrDistinguishesCancelFromServerFault(t *testing.T) {
 	t.Run("in-process cancel", func(t *testing.T) {
 		p := Demo()
 		ctx, cancel := context.WithCancel(context.Background())
-		rows, err := p.QueryStreamMode(ctx, ModeText, bigJoin)
+		rows, err := p.QueryDialect(ctx, DialectSQL, ModeText, bigJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +521,7 @@ func TestRowsErrDistinguishesCancelFromServerFault(t *testing.T) {
 	t.Run("remote cancel", func(t *testing.T) {
 		_, srv, c := newLoopback(t, server.Config{FetchRows: 2, SessionIdleTimeout: time.Minute})
 		ctx, cancel := context.WithCancel(context.Background())
-		rows, err := c.QueryStreamMode(ctx, ModeText, bigJoin)
+		rows, err := c.QueryDialect(ctx, "", ModeText, bigJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +553,7 @@ func TestRowsErrDistinguishesCancelFromServerFault(t *testing.T) {
 			SessionIdleTimeout: time.Minute,
 			Faults:             inj,
 		})
-		rows, err := c.QueryStreamMode(context.Background(), ModeText, bigJoin)
+		rows, err := c.QueryDialect(context.Background(), "", ModeText, bigJoin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,7 +615,7 @@ func TestServeMetadataSurface(t *testing.T) {
 	}
 
 	// EXPLAIN over the wire matches the in-process compile.
-	text, err := c.Explain(context.Background(), "SELECT CUSTOMERID FROM CUSTOMERS", ModeText)
+	text, err := c.ExplainDialect(context.Background(), "", "SELECT CUSTOMERID FROM CUSTOMERS", ModeText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +649,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 	for _, sql := range compiledCorpus()[:5] {
 		args := chaosArgs(strings.Count(sql, "?"))
-		local, err := p.QueryMode(ModeText, sql, args...)
+		local, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql, args...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ import (
 // evaluate to completion, then decode the whole payload — as the byte
 // oracle the cursor path must match.
 func materializedOracle(p *Platform, mode ResultMode, sql string, args []any) (*Rows, error) {
-	cq, err := p.Compile(sql, mode)
+	cq, err := p.CompileDialect(context.Background(), DialectSQL, sql, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +93,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
 		for _, sql := range compiledCorpus() {
 			args := chaosArgs(strings.Count(sql, "?"))
-			srows, err := p.QueryMode(mode, sql, args...)
+			srows, err := p.QueryDialect(context.Background(), DialectSQL, mode, sql, args...)
 			if err != nil {
 				t.Fatalf("mode %v: %q: streamed query: %v", mode, sql, err)
 			}
@@ -109,7 +109,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 				t.Fatalf("mode %v: %q: streamed rows diverged from materialized decode\ngot:  %s\nwant: %s",
 					mode, sql, got, want)
 			}
-			if cq, err := p.Compile(sql, mode); err == nil && cq.Streamable() {
+			if cq, err := p.CompileDialect(context.Background(), DialectSQL, sql, mode); err == nil && cq.Streamable() {
 				streamable++
 			}
 		}
@@ -126,7 +126,7 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 // and scroll operations work on the remainder.
 func TestStreamedRowsMaterialize(t *testing.T) {
 	p := Demo()
-	rows, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestQueryStreamCancellation(t *testing.T) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 5000, PaymentsPerCustomer: 1, Orders: 1, ItemsPerOrder: 1})
 	p := New(app, engine)
 	ctx, cancel := context.WithCancel(context.Background())
-	rows, err := p.QueryStream(ctx, "SELECT CUSTOMERID FROM CUSTOMERS")
+	rows, err := p.QueryDialect(ctx, DialectSQL, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +191,13 @@ func TestFetchFirstShortCircuit(t *testing.T) {
 	const sql = "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS FETCH FIRST 10 ROWS ONLY"
 
 	for _, mode := range []ResultMode{ModeXML, ModeText} {
-		cq, err := p.Compile(sql, mode)
+		cq, err := p.CompileDialect(context.Background(), DialectSQL, sql, mode)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 
 		// Facade, streamed end to end.
-		rows, err := p.QueryMode(mode, sql)
+		rows, err := p.QueryDialect(context.Background(), DialectSQL, mode, sql)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -265,7 +265,7 @@ func FuzzStreamDifferential(f *testing.F) {
 	p := New(app, engine)
 	f.Fuzz(func(t *testing.T, sql string) {
 		for _, mode := range []ResultMode{ModeXML, ModeText} {
-			cq, err := p.Compile(sql, mode)
+			cq, err := p.CompileDialect(context.Background(), DialectSQL, sql, mode)
 			if err != nil || cq.Res.ParamCount > 2 {
 				return
 			}
@@ -273,7 +273,7 @@ func FuzzStreamDifferential(f *testing.F) {
 				return // nondeterministic between the two evaluations
 			}
 			args := chaosArgs(cq.Res.ParamCount)
-			srows, serr := p.QueryMode(mode, sql, args...)
+			srows, serr := p.QueryDialect(context.Background(), DialectSQL, mode, sql, args...)
 			var got string
 			if serr == nil {
 				got, serr = marshalStreamed(srows)
@@ -299,7 +299,7 @@ func FuzzStreamDifferential(f *testing.F) {
 func TestStreamingMetricsSurface(t *testing.T) {
 	p := Demo()
 	before := Stats()
-	rows, err := p.Query("SELECT CUSTOMERID FROM CUSTOMERS")
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package aqualogic
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestDefineViewBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := p.Query("SELECT COUNT(*) FROM BIG_SPENDERS")
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT COUNT(*) FROM BIG_SPENDERS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestDefineViewBasic(t *testing.T) {
 		t.Fatal("expected some big spenders in the demo data")
 	}
 	// The view's rows agree with the underlying query.
-	direct, err := p.Query(`SELECT COUNT(*) FROM (SELECT CUSTID, SUM(PAYMENT) AS TOTAL
+	direct, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, `SELECT COUNT(*) FROM (SELECT CUSTID, SUM(PAYMENT) AS TOTAL
 		FROM PAYMENTS GROUP BY CUSTID HAVING SUM(PAYMENT) > 500) AS D`)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func TestViewJoinsWithBaseTable(t *testing.T) {
 		SELECT CUSTID, SUM(PAYMENT) AS TOTAL FROM PAYMENTS GROUP BY CUSTID`); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := p.Query(`
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, `
 		SELECT C.CUSTOMERNAME, V.TOTAL
 		FROM CUSTOMERS C INNER JOIN PAYTOTALS V ON C.CUSTOMERID = V.CUSTID
 		ORDER BY V.TOTAL DESC FETCH FIRST 3 ROWS ONLY`)
@@ -69,7 +70,7 @@ func TestViewOverView(t *testing.T) {
 	if err := p.DefineView("Logical", "V2", "SELECT CITY, COUNT(*) AS N FROM V1 GROUP BY CITY"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := p.Query("SELECT CITY FROM V2 WHERE N > 1 ORDER BY CITY")
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT CITY FROM V2 WHERE N > 1 ORDER BY CITY")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestViewNullColumnsStayNull(t *testing.T) {
 	if err := p.DefineView("Logical", "CITYVIEW", "SELECT CUSTOMERID AS ID, CITY FROM CUSTOMERS"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := p.Query("SELECT COUNT(*) FROM CITYVIEW WHERE CITY IS NULL")
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, "SELECT COUNT(*) FROM CITYVIEW WHERE CITY IS NULL")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +182,14 @@ func TestDefineViewInvalidatesCompiledQueries(t *testing.T) {
 	// Compiling before the view exists fails — and that failure must not
 	// pin the name: defining the view retires everything compiled against
 	// the old catalog, so the verbatim statement then succeeds.
-	if _, err := p.Query(sql); err == nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql); err == nil {
 		t.Fatal("query against missing view should fail")
 	}
 	if err := p.DefineView("Views", "BIGSPENDERS",
 		"SELECT CUSTID ID, PAYMENT BIG FROM PAYMENTS WHERE PAYMENT > 100"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := p.Query(sql)
+	rows, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql)
 	if err != nil {
 		t.Fatalf("query after CREATE VIEW: %v", err)
 	}
@@ -196,7 +197,7 @@ func TestDefineViewInvalidatesCompiledQueries(t *testing.T) {
 		t.Fatal("view returned no rows")
 	}
 	// And the repeat is a compile-cache hit on the new artifact.
-	if _, err := p.Query(sql); err != nil {
+	if _, err := p.QueryDialect(context.Background(), DialectSQL, ModeText, sql); err != nil {
 		t.Fatal(err)
 	}
 	if cs := p.CompileStats(); cs.Hits < 1 || cs.Invalidations < 1 {
