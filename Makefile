@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race chaos soak federate-smoke fuzz bench bench-smoke serve-smoke perfbench-check clean
+.PHONY: ci vet build test race chaos soak federate-smoke fuzz bench bench-smoke serve-smoke perfbench-check loc clean
 
 ci: vet build perfbench-check race chaos soak federate-smoke serve-smoke bench-smoke fuzz
 
@@ -72,6 +72,11 @@ bench-smoke:
 # compile it; this gate catches API changes that break the benchmark.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go lines outside perfbench/ — the size figure every change
+# reports next to its net lines removed.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean -testcache

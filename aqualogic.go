@@ -750,9 +750,12 @@ func PlanQuery(t *Translation) *QueryPlan {
 	return xqeval.NewPlan(t.Query)
 }
 
-// Stats snapshots the process-wide pipeline metrics (queries translated
-// and executed, metadata- and compile-cache hits/misses/evictions, rows
-// materialized, evaluator steps, per-stage timing aggregates).
+// Stats snapshots the process-wide pipeline metrics: every metric of the
+// obsv registry by name (queries translated and executed, metadata- and
+// compile-cache hits/misses/evictions, rows materialized, evaluator
+// steps, planner, federation, resilience and remote-client counters),
+// plus per-stage timing aggregates; Render prints it. A network server's
+// session and admission counters are its own (server.Server.Stats).
 // Per-connection figures are available via the driver's Stats() (see
 // driver.StatsReporter); the platform's own metadata-cache counters via
 // MetadataStats, and its compile-cache counters via CompileStats.

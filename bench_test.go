@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xquery"
 )
@@ -59,12 +60,12 @@ func BenchmarkTranslate(b *testing.B) {
 	tr, _ := bench.NewDemoTranslator(0, true)
 	for _, q := range bench.TranslationWorkload {
 		// Warm the cache and validate the query.
-		if _, err := tr.Translate(q.SQL); err != nil {
+		if _, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil); err != nil {
 			b.Fatalf("%s: %v", q.Name, err)
 		}
 		b.Run(q.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.Translate(q.SQL); err != nil {
+				if _, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,19 +83,19 @@ func BenchmarkMetadataCache(b *testing.B) {
 		tr, cache := bench.NewDemoTranslator(latency, true)
 		for i := 0; i < b.N; i++ {
 			cache.Invalidate()
-			if _, err := tr.Translate(sql); err != nil {
+			if _, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		tr, _ := bench.NewDemoTranslator(latency, true)
-		if _, err := tr.Translate(sql); err != nil {
+		if _, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := tr.Translate(sql); err != nil {
+			if _, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -153,7 +154,7 @@ func BenchmarkJoinShapes(b *testing.B) {
 func BenchmarkEngine(b *testing.B) {
 	app, engine := bench.DemoEngine(200)
 	tr := translator.New(app)
-	res, err := tr.Translate("SELECT CITY, COUNT(*) FROM CUSTOMERS GROUP BY CITY")
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT CITY, COUNT(*) FROM CUSTOMERS GROUP BY CITY", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func BenchmarkXQueryCompile(b *testing.B) {
 	app, engine := bench.DemoEngine(50)
 	_ = app
 	for _, q := range bench.TranslationWorkload {
-		res, err := tr.Translate(q.SQL)
+		res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

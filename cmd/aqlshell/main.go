@@ -23,10 +23,11 @@
 //
 // With -server <url> the shell connects to a running aqlserve process
 // through the resilient remote client instead of the in-process demo:
-// SQL and EXPLAIN travel the wire, \s renders the remote server's
-// pipeline metrics, and \r renders the remote resilience picture — the
-// server's admission/brownout/shed gauges from /v1/stats alongside this
-// client's own breaker, retry, and hedge state.
+// SQL and EXPLAIN travel the wire, \s renders the remote server's own
+// counter block and its process's pipeline metrics, and \r renders the
+// remote resilience picture — the server's admission/brownout/shed
+// gauges from /v1/stats alongside this client's own breaker, retry, and
+// hedge state.
 package main
 
 import (
@@ -44,6 +45,7 @@ import (
 	aqualogic "repro"
 	_ "repro/internal/driver"
 	"repro/internal/remoteclient"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -116,7 +118,6 @@ func main() {
 			fmt.Printf("compile cache: hits=%d misses=%d shared=%d evictions=%d invalidations=%d\n",
 				cs.Hits, cs.Misses, cs.Shared, cs.Evictions, cs.Invalidations)
 			fmt.Printf("entries: %d/%d, metadata generation: %d\n", cs.Size, cs.MaxEntries, cs.Generation)
-			aqualogic.Stats().RenderCompileCache(os.Stdout)
 		case line == `\f`:
 			if fetchSize > 0 {
 				fmt.Printf("fetch size: %d rows per page\n", fetchSize)
@@ -144,13 +145,9 @@ func main() {
 			fmt.Println(res.XQuery())
 		case line == `\s`:
 			aqualogic.Stats().Render(os.Stdout)
-			cache := p.MetadataStats()
-			fmt.Printf("platform metadata cache: hits=%d misses=%d\n", cache.Hits, cache.Misses)
 		case line == `\r`:
-			aqualogic.Stats().RenderResilience(os.Stdout)
-			cache := p.MetadataStats()
-			fmt.Printf("metadata cache: stale serves=%d shared fetches=%d degraded=%v\n",
-				cache.StaleServes, cache.Shared, cache.Degraded)
+			aqualogic.Stats().Render(os.Stdout, "resilience", "remote_client")
+			fmt.Printf("metadata cache degraded: %v\n", p.MetadataStats().Degraded)
 		case line == `\src`:
 			health := p.FederationStats()
 			if len(health) == 0 {
@@ -319,6 +316,7 @@ func runRemote(url string) {
 				fmt.Println("error:", err)
 				continue
 			}
+			printServerStats(resp.Server)
 			resp.Pipeline.Render(os.Stdout)
 		case line == `\r`:
 			renderRemoteResilience(c)
@@ -369,23 +367,31 @@ func statsCtx() context.Context {
 
 // renderRemoteResilience is the wire-mode \r: the server's overload
 // posture (weighted admission, queue, sheds by reason, brownout level,
-// idempotent replays) next to this client's own defenses.
+// idempotent replays) and resilience counters next to this client's own
+// defenses (its retries and hedges, and its breaker).
 func renderRemoteResilience(c *remoteclient.Client) {
 	resp, err := c.ServerStats(statsCtx())
 	if err != nil {
 		fmt.Println("error:", err)
-		fmt.Printf("client breaker: %s\n", c.BreakerState())
-		return
+	} else {
+		printServerStats(resp.Server)
+		resp.Pipeline.Render(os.Stdout, "resilience")
 	}
-	s := resp.Server
+	aqualogic.Stats().Render(os.Stdout, "remote_client")
+	fmt.Printf("client breaker: %s\n", c.BreakerState())
+}
+
+// printServerStats writes the server's own counter block, which only the
+// server counts and only /v1/stats reports.
+func printServerStats(s wire.ServerStats) {
+	fmt.Printf("server sessions: open=%d opened=%d reaped=%d; cursors: open=%d opened=%d reaped=%d\n",
+		s.SessionsOpen, s.SessionsOpened, s.SessionsReaped, s.CursorsOpen, s.CursorsOpened, s.CursorsReaped)
+	fmt.Printf("server queries: in-flight=%d peak=%d admission-rejected=%d\n",
+		s.QueriesInFlight, s.PeakInFlight, s.AdmissionRejected)
 	fmt.Printf("server admission: weighted in-flight %d/%d (peak %d), queue depth %d (peak %d)\n",
 		s.WeightedInFlight, s.WeightedCapacity, s.WeightedPeak, s.QueueDepth, s.QueuePeak)
-	fmt.Printf("server shed: queue-full=%d queue-timeout=%d brownout=%d (level %d)\n",
-		s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.BrownoutLevel)
-	fmt.Printf("server replays: execute=%d fetch=%d; sessions open=%d cursors open=%d\n",
-		s.ExecReplays, s.FetchReplays, s.SessionsOpen, s.CursorsOpen)
-	resp.Pipeline.RenderResilience(os.Stdout)
-	fmt.Printf("client breaker: %s\n", c.BreakerState())
+	fmt.Printf("server shed: queue-full=%d queue-timeout=%d brownout=%d (level %d, engaged %d); replays: exec=%d fetch=%d\n",
+		s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.BrownoutLevel, s.BrownoutEngaged, s.ExecReplays, s.FetchReplays)
 }
 
 // runRemoteQuery streams a remote result set to the terminal, paging

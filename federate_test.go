@@ -118,11 +118,11 @@ func TestFederatedMatchesSingleSource(t *testing.T) {
 		}
 	}
 	after := obsv.Global.Snapshot()
-	if after.FederatedScans <= before.FederatedScans {
-		t.Fatalf("no federated scatter-gather ran (scans %d -> %d)", before.FederatedScans, after.FederatedScans)
+	if after.Get("FederatedScans") <= before.Get("FederatedScans") {
+		t.Fatalf("no federated scatter-gather ran (scans %d -> %d)", before.Get("FederatedScans"), after.Get("FederatedScans"))
 	}
-	if after.ShardsPruned <= before.ShardsPruned {
-		t.Fatalf("no partition pruning happened (pruned %d -> %d)", before.ShardsPruned, after.ShardsPruned)
+	if after.Get("ShardsPruned") <= before.Get("ShardsPruned") {
+		t.Fatalf("no partition pruning happened (pruned %d -> %d)", before.Get("ShardsPruned"), after.Get("ShardsPruned"))
 	}
 }
 
@@ -154,8 +154,8 @@ func TestFederatedPushdownToggleMatches(t *testing.T) {
 		}
 	}
 	after := obsv.Global.Snapshot()
-	if after.ShardsPruned != before.ShardsPruned {
-		t.Fatalf("pruning ran despite DisablePartitionPushdown (%d -> %d)", before.ShardsPruned, after.ShardsPruned)
+	if after.Get("ShardsPruned") != before.Get("ShardsPruned") {
+		t.Fatalf("pruning ran despite DisablePartitionPushdown (%d -> %d)", before.Get("ShardsPruned"), after.Get("ShardsPruned"))
 	}
 }
 
@@ -311,10 +311,10 @@ func TestFederatedPartitionPruning(t *testing.T) {
 		t.Fatalf("eval: %v", err)
 	}
 	after := obsv.Global.Snapshot()
-	if got := after.ShardScans - before.ShardScans; got != 1 {
+	if got := after.Get("ShardScans") - before.Get("ShardScans"); got != 1 {
 		t.Fatalf("pinned query called %d shards, want 1", got)
 	}
-	if got := after.ShardsPruned - before.ShardsPruned; got != int64(shards-1) {
+	if got := after.Get("ShardsPruned") - before.Get("ShardsPruned"); got != int64(shards-1) {
 		t.Fatalf("pruned %d shards, want %d", got, shards-1)
 	}
 }

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/demo"
 	"repro/internal/qcache"
 	"repro/internal/resultset"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -87,7 +89,7 @@ func BuildPayloads(rows, cols int) (*Payloads, error) {
 	app, engine := WideTable(rows, cols)
 
 	trXML := translator.New(app)
-	resXML, err := trXML.Translate("SELECT * FROM W")
+	resXML, err := trXML.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT * FROM W", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +108,7 @@ func BuildPayloads(rows, cols int) (*Payloads, error) {
 
 	trText := translator.New(app)
 	trText.Options.Mode = translator.ModeText
-	resText, err := trText.Translate("SELECT * FROM W")
+	resText, err := trText.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT * FROM W", nil)
 	if err != nil {
 		return nil, err
 	}

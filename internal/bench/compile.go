@@ -55,7 +55,7 @@ func RunCompileSweep(iters int) ([]CompilePoint, error) {
 		ext := warm.ExternalVars()
 
 		textual, err := timeIt(iters, func() error {
-			res, err := trans.Translate(q.SQL)
+			res, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil)
 			if err != nil {
 				return err
 			}
@@ -74,7 +74,7 @@ func RunCompileSweep(iters int) ([]CompilePoint, error) {
 		}
 
 		cold, err := timeIt(iters, func() error {
-			res, err := trans.Translate(q.SQL)
+			res, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil)
 			if err != nil {
 				return err
 			}

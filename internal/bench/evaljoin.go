@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -69,7 +70,7 @@ func evalJoinEngine(left, right int) *xqeval.Engine {
 func RunEvalJoin(sizes []int) ([]EvalJoinPoint, error) {
 	trans := translator.New(catalog.NewCache(catalog.Demo()))
 	trans.Options.Mode = translator.ModeXML
-	res, err := trans.Translate(EvalJoinSQL)
+	res, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, EvalJoinSQL, nil)
 	if err != nil {
 		return nil, fmt.Errorf("eval join workload: %w", err)
 	}

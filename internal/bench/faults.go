@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/qcache"
 	"repro/internal/resilient"
 	"repro/internal/resultset"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 )
@@ -96,12 +98,12 @@ func runFaultArm(rate float64, defended bool, runs int) (FaultArm, error) {
 	trans.Options.DefaultCatalog = app.Name
 
 	// Warm the metadata cache outside the timed window, as P3 does.
-	if _, err := trans.Translate(FaultSweepSQL); err != nil && rate == 0 {
+	if _, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, FaultSweepSQL, nil); err != nil && rate == 0 {
 		return FaultArm{}, fmt.Errorf("fault sweep warmup: %w", err)
 	}
 
 	query := func() error {
-		res, err := trans.Translate(FaultSweepSQL)
+		res, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, FaultSweepSQL, nil)
 		if err != nil {
 			return err
 		}
@@ -140,7 +142,7 @@ func runFaultArm(rate float64, defended bool, runs int) (FaultArm, error) {
 func RunFaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 	var out []FaultPoint
 	for _, rate := range rates {
-		retriesBefore := obsv.Global.Snapshot().Retries
+		retriesBefore := obsv.Global.Retries.Load()
 		undefended, err := runFaultArm(rate, false, runs)
 		if err != nil {
 			return nil, err
@@ -153,7 +155,7 @@ func RunFaultSweep(rates []float64, runs int) ([]FaultPoint, error) {
 			Rate: rate, Runs: runs,
 			Undefended: undefended,
 			Defended:   defended,
-			Retries:    obsv.Global.Snapshot().Retries - retriesBefore,
+			Retries:    obsv.Global.Retries.Load() - retriesBefore,
 		})
 	}
 	return out, nil

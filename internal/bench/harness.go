@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/sqlparser"
 )
 
 // Report runs every experiment and prints the tables EXPERIMENTS.md
@@ -132,11 +135,11 @@ func RunTranslation(iters int) ([]TranslationPoint, error) {
 	var out []TranslationPoint
 	for _, q := range TranslationWorkload {
 		// Warm up (also surfaces translation errors).
-		if _, err := tr.Translate(q.SQL); err != nil {
+		if _, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil); err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
 		total, err := timeIt(iters, func() error {
-			_, err := tr.Translate(q.SQL)
+			_, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil)
 			return err
 		})
 		if err != nil {
@@ -175,7 +178,7 @@ func RunMetadataCache(latency time.Duration, iters int) ([]CachePoint, error) {
 	coldTr, coldCache := NewDemoTranslator(latency, true)
 	cold, err := timeIt(iters, func() error {
 		coldCache.Invalidate()
-		_, err := coldTr.Translate(sql)
+		_, err := coldTr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 		return err
 	})
 	if err != nil {
@@ -183,11 +186,11 @@ func RunMetadataCache(latency time.Duration, iters int) ([]CachePoint, error) {
 	}
 
 	warmTr, _ := NewDemoTranslator(latency, true)
-	if _, err := warmTr.Translate(sql); err != nil {
+	if _, err := warmTr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil); err != nil {
 		return nil, err
 	}
 	warm, err := timeIt(iters, func() error {
-		_, err := warmTr.Translate(sql)
+		_, err := warmTr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 		return err
 	})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/demo"
 	"repro/internal/obsv"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 )
 
@@ -46,7 +47,7 @@ func RunStageBreakdown(iters int) ([]StageClassPoint, error) {
 	var out []StageClassPoint
 	for _, q := range TranslationWorkload {
 		// Warm up metadata and surface errors before measuring.
-		if _, err := trans.Translate(q.SQL); err != nil {
+		if _, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, nil); err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
 		pt := StageClassPoint{
@@ -57,7 +58,7 @@ func RunStageBreakdown(iters int) ([]StageClassPoint, error) {
 		}
 		for i := 0; i < iters; i++ {
 			tr := obsv.NewTrace(q.SQL)
-			res, err := trans.TranslateTraced(q.SQL, tr)
+			res, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, q.SQL, tr)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", q.Name, err)
 			}

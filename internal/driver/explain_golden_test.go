@@ -195,7 +195,7 @@ func TestExplainTranslatesOnce(t *testing.T) {
 	translated := func() int64 {
 		var n int64
 		if err := conn.Raw(func(dc any) error {
-			n = dc.(StatsReporter).Stats().Pipeline.QueriesTranslated
+			n = dc.(StatsReporter).Stats().Pipeline.Get("QueriesTranslated")
 			return nil
 		}); err != nil {
 			t.Fatal(err)

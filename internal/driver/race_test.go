@@ -122,7 +122,7 @@ func TestConcurrentStats(t *testing.T) {
 						return fmt.Errorf("driver conn %T does not report stats", dc)
 					}
 					s := st.Stats()
-					if s.Pipeline.QueriesTranslated < 0 {
+					if s.Pipeline.Get("QueriesTranslated") < 0 {
 						return fmt.Errorf("negative translate count")
 					}
 					return nil

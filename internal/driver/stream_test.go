@@ -28,9 +28,9 @@ func streamConn(t *testing.T, customers int) *conn {
 // spent inside it. Driver tests do not run in parallel, so the global
 // counter's delta is attributable to fn.
 func evalStepsDelta(fn func()) int64 {
-	before := obsv.Global.Snapshot().EvalSteps
+	before := obsv.Global.Snapshot().Get("EvalSteps")
 	fn()
-	return obsv.Global.Snapshot().EvalSteps - before
+	return obsv.Global.Snapshot().Get("EvalSteps") - before
 }
 
 // TestClosedRowsCancelEvaluation is the early-termination regression: a
@@ -116,13 +116,13 @@ func TestRowsCloseReleasesOnce(t *testing.T) {
 				t.Fatalf("round %d row %d: %v", round, i, err)
 			}
 		}
-		before := c.obs.Snapshot().RowsStreamed
+		before := c.obs.Snapshot().Get("RowsStreamed")
 		for i := 0; i < 3; i++ {
 			if err := rows.Close(); err != nil {
 				t.Fatalf("round %d close %d: %v", round, i, err)
 			}
 		}
-		if got := c.obs.Snapshot().RowsStreamed - before; got != 2 {
+		if got := c.obs.Snapshot().Get("RowsStreamed") - before; got != 2 {
 			t.Fatalf("round %d: %d rows counted across 3 Closes, want 2 (exactly once)", round, got)
 		}
 	}

@@ -5,7 +5,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,13 +27,10 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is an atomic instantaneous value (e.g. a cache's current size) —
-// unlike Counter it can move both ways and be set outright.
+// unlike Counter it can move both ways.
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set overwrites the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adjusts the value by n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
@@ -40,9 +38,14 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// SetMax raises the gauge to n if n is larger — a concurrency-safe
-// high-water mark (used for peak in-flight rows across cursors).
-func (g *Gauge) SetMax(n int64) {
+// Max is a max-gauge: a concurrency-safe high-water mark (e.g. peak
+// in-flight rows across cursors).
+type Max struct {
+	v atomic.Int64
+}
+
+// SetMax raises the mark to n if n is larger.
+func (g *Max) SetMax(n int64) {
 	for {
 		cur := g.v.Load()
 		if n <= cur || g.v.CompareAndSwap(cur, n) {
@@ -50,6 +53,9 @@ func (g *Gauge) SetMax(n int64) {
 		}
 	}
 }
+
+// Load returns the current mark.
+func (g *Max) Load() int64 { return g.v.Load() }
 
 // histBuckets is the number of power-of-two latency buckets: bucket i
 // holds observations in [2^i µs, 2^(i+1) µs), bucket 0 holds < 2 µs, and
@@ -183,141 +189,143 @@ func (c *LabeledCounter) Snapshot() map[string]int64 {
 // every field updates atomically, so one Metrics may be shared by any
 // number of goroutines. The process-wide instance is Global; the driver
 // additionally keeps one per connection for its Stats() surface.
+//
+// Each Counter, Gauge or Max field is one registered metric and its only
+// declaration: the field name is the metric's name, the field type its
+// kind, and the `group` tag the Render group it prints in. Snapshot, the
+// /v1/stats JSON and Render all iterate the registry, so a new metric is
+// one field here plus its increment site.
 type Metrics struct {
-	// QueriesTranslated counts completed translations;
-	// TranslateErrors counts translations rejected at any stage.
-	QueriesTranslated Counter
-	TranslateErrors   Counter
-	// QueriesExecuted counts engine evaluations of translated queries.
-	QueriesExecuted Counter
-	// CacheHits/CacheMisses count metadata-cache lookups (§3.5).
-	CacheHits   Counter
-	CacheMisses Counter
-	// RowsMaterialized counts result-set rows decoded whole (§4, both
-	// paths); RowsStreamed counts rows delivered one pull at a time
-	// through the streaming decoders.
-	RowsMaterialized Counter
-	RowsStreamed     Counter
+	// Pipeline: completed translations and translations rejected at any
+	// stage; engine evaluations; metadata-cache lookups (§3.5); result-set
+	// rows decoded whole (§4) and rows delivered one pull at a time by the
+	// streaming decoders; the high-water mark of rows buffered between
+	// producer and consumer across cursors; evaluator expression steps
+	// (the engine's unit of work).
+	QueriesTranslated Counter `group:"pipeline"`
+	TranslateErrors   Counter `group:"pipeline"`
+	QueriesExecuted   Counter `group:"pipeline"`
+	CacheHits         Counter `group:"pipeline"`
+	CacheMisses       Counter `group:"pipeline"`
+	RowsMaterialized  Counter `group:"pipeline"`
+	RowsStreamed      Counter `group:"pipeline"`
+	PeakInFlightRows  Max     `group:"pipeline"`
+	EvalSteps         Counter `group:"pipeline"`
+
+	// Planner: evaluator query plans constructed and the static decisions
+	// aggregated across them; tuples the planned executor skipped relative
+	// to the naive nested-loop pipeline (hash-join misses plus
+	// pushed-predicate rejections); statistics lookups (stats.go), where a
+	// miss means a plan was built before its sources were observed.
+	PlansBuilt            Counter `group:"planner"`
+	PlanHashJoins         Counter `group:"planner"`
+	PlanPredicatesPushed  Counter `group:"planner"`
+	PlanInvariantsHoisted Counter `group:"planner"`
+	TuplesPruned          Counter `group:"planner"`
+	SourceStatsHits       Counter `group:"planner"`
+	SourceStatsMisses     Counter `group:"planner"`
+
+	// Parallel (internal/xqeval parallel.go): morsel workers spawned,
+	// morsels flushed through the ordered merge, and the high-water mark
+	// of completed morsels waiting on the merge point.
+	ParallelWorkers  Counter `group:"parallel"`
+	MorselsProcessed Counter `group:"parallel"`
+	MergeBacklog     Max     `group:"parallel"`
+
+	// Federation (internal/xqeval partition.go): scatter-gather
+	// evaluations of partitioned scans, the shard calls they made, shards
+	// a pinned shard key let the executor skip, and degraded shards a
+	// partial-tolerant scan dropped.
+	FederatedScans Counter `group:"federation"`
+	ShardScans     Counter `group:"federation"`
+	ShardsPruned   Counter `group:"federation"`
+	ShardsSkipped  Counter `group:"federation"`
+
+	// Compile cache (internal/qcache): CompiledQuery lookups that reused
+	// an artifact, compiled one, or coalesced onto another caller's
+	// in-flight compile; LRU drops under the size bound; whole-cache
+	// flushes (catalog change or degradation); current entries across the
+	// process.
+	CompileCacheHits          Counter `group:"compile_cache"`
+	CompileCacheMisses        Counter `group:"compile_cache"`
+	CompileCacheShared        Counter `group:"compile_cache"`
+	CompileCacheEvictions     Counter `group:"compile_cache"`
+	CompileCacheInvalidations Counter `group:"compile_cache"`
+	CompileCacheSize          Gauge   `group:"compile_cache"`
+
+	// Resilience: chaos-layer injections (internal/faultnet) and the
+	// production-side reactions — retry attempts beyond the first try,
+	// operations rescued by them, breaker transitions to open, calls
+	// rejected fast by an open breaker, metadata lookups served stale
+	// during an outage, lookups coalesced onto another in-flight fetch,
+	// panics converted to typed errors, queries aborted by a resource
+	// guard.
+	FaultsInjected     Counter `group:"resilience"`
+	Retries            Counter `group:"resilience"`
+	RetrySuccesses     Counter `group:"resilience"`
+	BreakerOpens       Counter `group:"resilience"`
+	BreakerFastFails   Counter `group:"resilience"`
+	StaleServes        Counter `group:"resilience"`
+	SingleFlightShared Counter `group:"resilience"`
+	PanicsRecovered    Counter `group:"resilience"`
+	ResourceLimitHits  Counter `group:"resilience"`
+
+	// Remote client (internal/remoteclient): retry attempts beyond the
+	// first and the operations they rescued, hedged fetch duplicates and
+	// how often the hedge beat the primary. Server-side counters are the
+	// server's own (wire.ServerStats), not metrics here.
+	RemoteRetries        Counter `group:"remote_client"`
+	RemoteRetrySuccesses Counter `group:"remote_client"`
+	FetchHedges          Counter `group:"remote_client"`
+	HedgeWins            Counter `group:"remote_client"`
+
 	// TimeToFirstRow observes the latency from opening a streaming cursor
-	// to its first row becoming available; PeakInFlightRows is the
-	// high-water mark of rows buffered between producer and consumer
-	// across all cursors (bounded by the cursor channel's capacity).
-	TimeToFirstRow   Histogram
-	PeakInFlightRows Gauge
-	// EvalSteps counts evaluator expression steps (the engine's unit of
-	// work).
-	EvalSteps Counter
-	// PlansBuilt counts evaluator query plans constructed; the remaining
-	// Plan* counters aggregate the planner's static decisions across those
-	// plans, and TuplesPruned counts tuples the planned executor skipped
-	// relative to the naive nested-loop pipeline (hash-join misses plus
-	// pushed-predicate rejections).
-	PlansBuilt            Counter
-	PlanHashJoins         Counter
-	PlanPredicatesPushed  Counter
-	PlanInvariantsHoisted Counter
-	TuplesPruned          Counter
-
-	// Parallel-execution counters (internal/xqeval parallel.go):
-	// ParallelWorkers counts morsel workers spawned across all parallel
-	// segments, MorselsProcessed counts morsels flushed through the ordered
-	// merge, and MergeBacklog is the high-water mark of completed morsels
-	// waiting on the merge point (bounded by the speculation window).
-	// SourceStatsHits/Misses count the planner's statistics lookups
-	// (stats.go) — misses mean a plan was built before its sources were
-	// observed.
-	ParallelWorkers   Counter
-	MorselsProcessed  Counter
-	MergeBacklog      Gauge
-	SourceStatsHits   Counter
-	SourceStatsMisses Counter
-
-	// Federation counters (internal/xqeval partition.go): FederatedScans
-	// counts scatter-gather evaluations of partitioned scans, ShardScans
-	// the individual shard calls they made, ShardsPruned the shards a
-	// pinned shard key let the executor skip entirely, and ShardsSkipped
-	// the degraded shards a partial-tolerant scan dropped. SourceScans
-	// attributes shard calls to their federated source.
-	FederatedScans Counter
-	ShardScans     Counter
-	ShardsPruned   Counter
-	ShardsSkipped  Counter
+	// to its first row; SourceScans attributes shard calls to their
+	// federated source. Both are reported beside the registry (Snapshot
+	// keeps their figures as fields).
+	TimeToFirstRow Histogram
 	SourceScans    LabeledCounter
-
-	// Compile-cache counters (internal/qcache): lookups of CompiledQuery
-	// artifacts at the compiled-query boundary. Hits reuse a compiled
-	// artifact, misses compile one, shared lookups coalesced onto another
-	// caller's in-flight compile, evictions are LRU drops under the size
-	// bound, and invalidations are whole-cache flushes (catalog change or
-	// degradation). Size is the current entry count across the process.
-	CompileCacheHits          Counter
-	CompileCacheMisses        Counter
-	CompileCacheShared        Counter
-	CompileCacheEvictions     Counter
-	CompileCacheInvalidations Counter
-	CompileCacheSize          Gauge
-
-	// Resilience counters (fault injection and the defenses around it).
-	// FaultsInjected counts chaos-layer injections (internal/faultnet);
-	// the rest count the production-side reactions: retry attempts beyond
-	// the first try, operations rescued by those retries, breaker state
-	// transitions to open, calls rejected fast by an open breaker,
-	// metadata lookups served stale during a backend outage, lookups
-	// coalesced onto another in-flight fetch, panics converted to typed
-	// errors, and queries aborted by a resource guard.
-	FaultsInjected     Counter
-	Retries            Counter
-	RetrySuccesses     Counter
-	BreakerOpens       Counter
-	BreakerFastFails   Counter
-	StaleServes        Counter
-	SingleFlightShared Counter
-	PanicsRecovered    Counter
-	ResourceLimitHits  Counter
-
-	// Server front-end counters (internal/server): wire-protocol sessions
-	// opened over the server's lifetime and open right now, sessions
-	// closed by the idle reaper, queries admitted and in flight (with the
-	// high-water mark), executions rejected by admission control, and
-	// server-side cursors opened / reaped from abandoned sessions (each
-	// reaped cursor is a cancelled evaluation that would otherwise have
-	// pinned a producer goroutine and its buffered rows).
-	SessionsOpened      Counter
-	SessionsActive      Gauge
-	SessionsReaped      Counter
-	QueriesInFlight     Gauge
-	PeakQueriesInFlight Gauge
-	AdmissionRejected   Counter
-	CursorsOpened       Counter
-	CursorsReaped       Counter
-
-	// Overload-resilience counters. Server side: cost-aware admission holds
-	// a weighted semaphore (weights in slots, one slot = CostPerSlot of
-	// predicted work), a bounded FIFO queue in front of it, and a brownout
-	// level that halves the admissible weight ceiling per step; sheds are
-	// counted by reason. Replays are idempotent retries served from cursor
-	// state (execute by idempotency key, fetch by chunk sequence number)
-	// instead of re-evaluated. Client side: remoteclient retry attempts
-	// beyond the first and how many operations they rescued, plus hedged
-	// fetch duplicates and how often the hedge beat the primary.
-	WeightedInFlight     Gauge
-	WeightedPeak         Gauge
-	AdmissionQueueDepth  Gauge
-	AdmissionQueuePeak   Gauge
-	ShedQueueFull        Counter
-	ShedQueueTimeout     Counter
-	ShedBrownout         Counter
-	BrownoutLevel        Gauge
-	BrownoutEngaged      Counter
-	ExecReplays          Counter
-	FetchReplays         Counter
-	RemoteRetries        Counter
-	RemoteRetrySuccesses Counter
-	FetchHedges          Counter
-	HedgeWins            Counter
 
 	stageTime [NumStages]Histogram
 }
+
+// Groups lists the render groups in Render's order.
+var Groups = []string{"pipeline", "planner", "parallel", "federation", "compile_cache", "resilience", "remote_client"}
+
+// Def describes one registered metric.
+type Def struct {
+	Name  string
+	Kind  string // "counter", "gauge" or "max"
+	Group string // one of Groups
+	field int    // index into Metrics
+}
+
+// registry is derived once from the Metrics fields, in declaration order.
+var registry = func() []Def {
+	kinds := map[reflect.Type]string{
+		reflect.TypeOf(Counter{}): "counter",
+		reflect.TypeOf(Gauge{}):   "gauge",
+		reflect.TypeOf(Max{}):     "max",
+	}
+	t := reflect.TypeOf(Metrics{})
+	var defs []Def
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		kind, ok := kinds[f.Type]
+		if !ok {
+			continue
+		}
+		group := f.Tag.Get("group")
+		if !slices.Contains(Groups, group) {
+			panic(fmt.Sprintf("obsv: metric %s has render group %q, want one of %v", f.Name, group, Groups))
+		}
+		defs = append(defs, Def{Name: f.Name, Kind: kind, Group: group, field: i})
+	}
+	return defs
+}()
+
+// Registry returns every registered metric in declaration order.
+func Registry() []Def { return slices.Clone(registry) }
 
 // Global is the process-wide metrics instance the pipeline reports into.
 var Global = &Metrics{}
@@ -344,156 +352,37 @@ type StageSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of a Metrics — the scrape surface for
-// embedders (plain values, no atomics).
+// embedders and the pipeline half of /v1/stats (plain values, no atomics).
 type Snapshot struct {
-	QueriesTranslated    int64
-	TranslateErrors      int64
-	QueriesExecuted      int64
-	CacheHits            int64
-	CacheMisses          int64
-	RowsMaterialized     int64
-	RowsStreamed         int64
+	// Metrics maps every registered metric's name to its value.
+	Metrics map[string]int64
+	// TimeToFirstRow* summarize the streaming first-row histogram.
 	TimeToFirstRowCount  int64
 	TimeToFirstRowMeanNS int64
 	TimeToFirstRowP99NS  int64
-	PeakInFlightRows     int64
-	EvalSteps            int64
-	PlansBuilt           int64
-	HashJoins            int64
-	PredicatesPushed     int64
-	InvariantsHoisted    int64
-	TuplesPruned         int64
-
-	ParallelWorkers   int64
-	MorselsProcessed  int64
-	MergeBacklog      int64
-	SourceStatsHits   int64
-	SourceStatsMisses int64
-
-	FederatedScans int64
-	ShardScans     int64
-	ShardsPruned   int64
-	ShardsSkipped  int64
 	// SourceScans maps federated source name → shard calls attributed to
 	// it; nil when the process never ran a federated scan.
 	SourceScans map[string]int64
 
-	CompileCacheHits          int64
-	CompileCacheMisses        int64
-	CompileCacheShared        int64
-	CompileCacheEvictions     int64
-	CompileCacheInvalidations int64
-	CompileCacheSize          int64
-
-	FaultsInjected     int64
-	Retries            int64
-	RetrySuccesses     int64
-	BreakerOpens       int64
-	BreakerFastFails   int64
-	StaleServes        int64
-	SingleFlightShared int64
-	PanicsRecovered    int64
-	ResourceLimitHits  int64
-
-	SessionsOpened      int64
-	SessionsActive      int64
-	SessionsReaped      int64
-	QueriesInFlight     int64
-	PeakQueriesInFlight int64
-	AdmissionRejected   int64
-	CursorsOpened       int64
-	CursorsReaped       int64
-
-	WeightedInFlight     int64
-	WeightedPeak         int64
-	AdmissionQueueDepth  int64
-	AdmissionQueuePeak   int64
-	ShedQueueFull        int64
-	ShedQueueTimeout     int64
-	ShedBrownout         int64
-	BrownoutLevel        int64
-	BrownoutEngaged      int64
-	ExecReplays          int64
-	FetchReplays         int64
-	RemoteRetries        int64
-	RemoteRetrySuccesses int64
-	FetchHedges          int64
-	HedgeWins            int64
-
 	Stages []StageSnapshot // pipeline order; stages never seen are omitted
+}
+
+// Get returns one registered metric's value. It panics on a name no
+// Metrics field declares, so a misspelt name fails instead of reading 0.
+func (s Snapshot) Get(name string) int64 {
+	v, ok := s.Metrics[name]
+	if !ok && !slices.ContainsFunc(registry, func(d Def) bool { return d.Name == name }) {
+		panic("obsv: no metric named " + name)
+	}
+	return v
 }
 
 // Snapshot captures the current values.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		QueriesTranslated: m.QueriesTranslated.Load(),
-		TranslateErrors:   m.TranslateErrors.Load(),
-		QueriesExecuted:   m.QueriesExecuted.Load(),
-		CacheHits:         m.CacheHits.Load(),
-		CacheMisses:       m.CacheMisses.Load(),
-		RowsMaterialized:  m.RowsMaterialized.Load(),
-		RowsStreamed:      m.RowsStreamed.Load(),
-		PeakInFlightRows:  m.PeakInFlightRows.Load(),
-		EvalSteps:         m.EvalSteps.Load(),
-		PlansBuilt:        m.PlansBuilt.Load(),
-		HashJoins:         m.PlanHashJoins.Load(),
-		PredicatesPushed:  m.PlanPredicatesPushed.Load(),
-		InvariantsHoisted: m.PlanInvariantsHoisted.Load(),
-		TuplesPruned:      m.TuplesPruned.Load(),
-
-		ParallelWorkers:   m.ParallelWorkers.Load(),
-		MorselsProcessed:  m.MorselsProcessed.Load(),
-		MergeBacklog:      m.MergeBacklog.Load(),
-		SourceStatsHits:   m.SourceStatsHits.Load(),
-		SourceStatsMisses: m.SourceStatsMisses.Load(),
-
-		FederatedScans: m.FederatedScans.Load(),
-		ShardScans:     m.ShardScans.Load(),
-		ShardsPruned:   m.ShardsPruned.Load(),
-		ShardsSkipped:  m.ShardsSkipped.Load(),
-		SourceScans:    m.SourceScans.Snapshot(),
-
-		CompileCacheHits:          m.CompileCacheHits.Load(),
-		CompileCacheMisses:        m.CompileCacheMisses.Load(),
-		CompileCacheShared:        m.CompileCacheShared.Load(),
-		CompileCacheEvictions:     m.CompileCacheEvictions.Load(),
-		CompileCacheInvalidations: m.CompileCacheInvalidations.Load(),
-		CompileCacheSize:          m.CompileCacheSize.Load(),
-
-		FaultsInjected:     m.FaultsInjected.Load(),
-		Retries:            m.Retries.Load(),
-		RetrySuccesses:     m.RetrySuccesses.Load(),
-		BreakerOpens:       m.BreakerOpens.Load(),
-		BreakerFastFails:   m.BreakerFastFails.Load(),
-		StaleServes:        m.StaleServes.Load(),
-		SingleFlightShared: m.SingleFlightShared.Load(),
-		PanicsRecovered:    m.PanicsRecovered.Load(),
-		ResourceLimitHits:  m.ResourceLimitHits.Load(),
-
-		SessionsOpened:      m.SessionsOpened.Load(),
-		SessionsActive:      m.SessionsActive.Load(),
-		SessionsReaped:      m.SessionsReaped.Load(),
-		QueriesInFlight:     m.QueriesInFlight.Load(),
-		PeakQueriesInFlight: m.PeakQueriesInFlight.Load(),
-		AdmissionRejected:   m.AdmissionRejected.Load(),
-		CursorsOpened:       m.CursorsOpened.Load(),
-		CursorsReaped:       m.CursorsReaped.Load(),
-
-		WeightedInFlight:     m.WeightedInFlight.Load(),
-		WeightedPeak:         m.WeightedPeak.Load(),
-		AdmissionQueueDepth:  m.AdmissionQueueDepth.Load(),
-		AdmissionQueuePeak:   m.AdmissionQueuePeak.Load(),
-		ShedQueueFull:        m.ShedQueueFull.Load(),
-		ShedQueueTimeout:     m.ShedQueueTimeout.Load(),
-		ShedBrownout:         m.ShedBrownout.Load(),
-		BrownoutLevel:        m.BrownoutLevel.Load(),
-		BrownoutEngaged:      m.BrownoutEngaged.Load(),
-		ExecReplays:          m.ExecReplays.Load(),
-		FetchReplays:         m.FetchReplays.Load(),
-		RemoteRetries:        m.RemoteRetries.Load(),
-		RemoteRetrySuccesses: m.RemoteRetrySuccesses.Load(),
-		FetchHedges:          m.FetchHedges.Load(),
-		HedgeWins:            m.HedgeWins.Load(),
+	fields := reflect.ValueOf(m).Elem()
+	s := Snapshot{Metrics: make(map[string]int64, len(registry)), SourceScans: m.SourceScans.Snapshot()}
+	for _, d := range registry {
+		s.Metrics[d.Name] = fields.Field(d.field).Addr().Interface().(interface{ Load() int64 }).Load()
 	}
 	if ttfr := m.TimeToFirstRow.Snapshot(); ttfr.Count > 0 {
 		s.TimeToFirstRowCount = ttfr.Count
@@ -516,45 +405,39 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// Render writes the snapshot as the aligned text block `\s` in aqlshell
-// prints.
-func (s Snapshot) Render(w io.Writer) {
-	fmt.Fprintf(w, "queries translated: %d (errors: %d), executed: %d\n",
-		s.QueriesTranslated, s.TranslateErrors, s.QueriesExecuted)
-	fmt.Fprintf(w, "metadata cache: hits=%d misses=%d\n", s.CacheHits, s.CacheMisses)
-	fmt.Fprintf(w, "rows materialized: %d, evaluator steps: %d\n",
-		s.RowsMaterialized, s.EvalSteps)
-	if s.RowsStreamed > 0 || s.TimeToFirstRowCount > 0 {
-		fmt.Fprintf(w, "streaming: rows=%d, first-row mean=%s p99<=%s (%d cursors), peak in-flight rows=%d\n",
-			s.RowsStreamed,
-			time.Duration(s.TimeToFirstRowMeanNS).Round(time.Microsecond),
-			time.Duration(s.TimeToFirstRowP99NS).Round(time.Microsecond),
-			s.TimeToFirstRowCount, s.PeakInFlightRows)
+// Render writes the named groups, one line of name=value pairs each,
+// zeros included so what has NOT happened is visible too. The pipeline
+// group adds the first-row latency line once a cursor has streamed, and
+// federation the per-source scans once a scan has scattered. With no
+// groups it writes every group followed by the per-stage timing table —
+// aqlshell's `\s`.
+func (s Snapshot) Render(w io.Writer, groups ...string) {
+	full := len(groups) == 0
+	if full {
+		groups = Groups
 	}
-	if s.PlansBuilt > 0 {
-		fmt.Fprintf(w, "planner: plans=%d hash joins=%d predicates pushed=%d invariants hoisted=%d tuples pruned=%d\n",
-			s.PlansBuilt, s.HashJoins, s.PredicatesPushed, s.InvariantsHoisted, s.TuplesPruned)
+	for _, g := range groups {
+		fmt.Fprintf(w, "%s:", g)
+		for _, d := range registry {
+			if d.Group == g {
+				fmt.Fprintf(w, " %s=%d", d.Name, s.Metrics[d.Name])
+			}
+		}
+		fmt.Fprintln(w)
+		switch {
+		case g == "pipeline" && s.TimeToFirstRowCount > 0:
+			fmt.Fprintf(w, "  first row: cursors=%d mean=%s p99<=%s\n", s.TimeToFirstRowCount,
+				time.Duration(s.TimeToFirstRowMeanNS).Round(time.Microsecond),
+				time.Duration(s.TimeToFirstRowP99NS).Round(time.Microsecond))
+		case g == "federation" && len(s.SourceScans) > 0:
+			fmt.Fprintf(w, "  per-source scans:")
+			for _, n := range SortedKeys(s.SourceScans) {
+				fmt.Fprintf(w, " %s=%d", n, s.SourceScans[n])
+			}
+			fmt.Fprintln(w)
+		}
 	}
-	if s.SourceStatsHits+s.SourceStatsMisses > 0 {
-		fmt.Fprintf(w, "source stats: hits=%d misses=%d\n", s.SourceStatsHits, s.SourceStatsMisses)
-	}
-	if s.ParallelWorkers > 0 {
-		fmt.Fprintf(w, "parallel: workers=%d morsels=%d peak merge backlog=%d\n",
-			s.ParallelWorkers, s.MorselsProcessed, s.MergeBacklog)
-	}
-	if s.FederatedScans > 0 {
-		s.RenderFederation(w)
-	}
-	if s.CompileCacheHits+s.CompileCacheMisses+s.CompileCacheShared > 0 {
-		s.RenderCompileCache(w)
-	}
-	if s.resilienceActive() {
-		s.RenderResilience(w)
-	}
-	if s.SessionsOpened+s.SessionsActive+s.AdmissionRejected+s.CursorsOpened > 0 {
-		s.RenderServer(w)
-	}
-	if len(s.Stages) > 0 {
+	if full && len(s.Stages) > 0 {
 		fmt.Fprintf(w, "%-18s %-8s %-12s %-12s %s\n", "stage", "count", "total", "mean", "p99<=")
 		for _, st := range s.Stages {
 			fmt.Fprintf(w, "%-18s %-8d %-12s %-12s %s\n", st.Stage, st.Count,
@@ -563,71 +446,4 @@ func (s Snapshot) Render(w io.Writer) {
 				time.Duration(st.P99NS).Round(time.Microsecond))
 		}
 	}
-}
-
-// RenderCompileCache writes the compile-cache counter block (aqlshell's
-// `\q`), unconditionally — zeros included, so a cache that has never been
-// consulted is also visible.
-func (s Snapshot) RenderCompileCache(w io.Writer) {
-	fmt.Fprintf(w, "compile cache: hits=%d misses=%d shared=%d evictions=%d invalidations=%d size=%d\n",
-		s.CompileCacheHits, s.CompileCacheMisses, s.CompileCacheShared,
-		s.CompileCacheEvictions, s.CompileCacheInvalidations, s.CompileCacheSize)
-}
-
-// RenderServer writes the network-server counter block (aqlshell's `\v`),
-// unconditionally — zeros included, so an idle server is also visible.
-func (s Snapshot) RenderServer(w io.Writer) {
-	fmt.Fprintf(w, "server sessions: open=%d opened=%d reaped=%d\n",
-		s.SessionsActive, s.SessionsOpened, s.SessionsReaped)
-	fmt.Fprintf(w, "server queries: in-flight=%d peak=%d admission-rejected=%d\n",
-		s.QueriesInFlight, s.PeakQueriesInFlight, s.AdmissionRejected)
-	fmt.Fprintf(w, "server admission: weighted in-flight=%d peak=%d queue depth=%d peak=%d brownout level=%d (engaged %d)\n",
-		s.WeightedInFlight, s.WeightedPeak, s.AdmissionQueueDepth, s.AdmissionQueuePeak,
-		s.BrownoutLevel, s.BrownoutEngaged)
-	fmt.Fprintf(w, "server shed: queue-full=%d queue-timeout=%d brownout=%d, replays: exec=%d fetch=%d\n",
-		s.ShedQueueFull, s.ShedQueueTimeout, s.ShedBrownout, s.ExecReplays, s.FetchReplays)
-	fmt.Fprintf(w, "server cursors: opened=%d reaped=%d\n",
-		s.CursorsOpened, s.CursorsReaped)
-}
-
-// RenderFederation writes the federated-scan counter block (aqlshell's
-// `\f`), unconditionally — zeros included, so a federation that has never
-// scattered is also visible.
-func (s Snapshot) RenderFederation(w io.Writer) {
-	fmt.Fprintf(w, "federation: scans=%d shard calls=%d pruned=%d skipped=%d\n",
-		s.FederatedScans, s.ShardScans, s.ShardsPruned, s.ShardsSkipped)
-	if len(s.SourceScans) > 0 {
-		names := make([]string, 0, len(s.SourceScans))
-		for n := range s.SourceScans {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "federation per-source scans:")
-		for _, n := range names {
-			fmt.Fprintf(w, " %s=%d", n, s.SourceScans[n])
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// resilienceActive reports whether any resilience counter has moved (the
-// block is omitted from Render for fault-free, defense-free processes).
-func (s Snapshot) resilienceActive() bool {
-	return s.FaultsInjected+s.Retries+s.RetrySuccesses+s.BreakerOpens+
-		s.BreakerFastFails+s.StaleServes+s.SingleFlightShared+
-		s.PanicsRecovered+s.ResourceLimitHits > 0
-}
-
-// RenderResilience writes the resilience counter block (aqlshell's `\r`),
-// unconditionally — zeros included, so degradation that has NOT happened
-// is also visible.
-func (s Snapshot) RenderResilience(w io.Writer) {
-	fmt.Fprintf(w, "faults injected: %d, panics recovered: %d, resource-limit aborts: %d\n",
-		s.FaultsInjected, s.PanicsRecovered, s.ResourceLimitHits)
-	fmt.Fprintf(w, "retries: %d (rescued: %d), breaker: opened=%d fast-fails=%d\n",
-		s.Retries, s.RetrySuccesses, s.BreakerOpens, s.BreakerFastFails)
-	fmt.Fprintf(w, "metadata degradation: stale serves=%d, single-flight shared=%d\n",
-		s.StaleServes, s.SingleFlightShared)
-	fmt.Fprintf(w, "remote client: retries=%d (rescued: %d), hedged fetches=%d (hedge won: %d)\n",
-		s.RemoteRetries, s.RemoteRetrySuccesses, s.FetchHedges, s.HedgeWins)
 }

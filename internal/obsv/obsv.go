@@ -13,15 +13,20 @@
 //     generated, evaluator steps, …). A nil *Trace is a valid no-op
 //     tracer, so pipeline code threads it unconditionally.
 //
-//   - Metrics — process- or connection-scoped atomic counters and duration
-//     histograms aggregating queries translated, cache hits/misses, rows
-//     materialized, evaluator steps, and cumulative per-stage time.
+//   - Metrics — the one registry of pipeline metrics: process- or
+//     connection-scoped atomic counters, gauges and max-gauges (queries
+//     translated, cache hits/misses, rows materialized, evaluator steps,
+//     …) plus duration histograms of cumulative per-stage time. Each
+//     metric is declared once, as a group-tagged Metrics field, and
+//     counted once, by the component that owns the event; a server's own
+//     session and admission counters are not here but on the server.
 //     Metrics values are updated with atomics only; they are safe for
 //     concurrent use from any number of goroutines.
 //
 // Consumers observe the layer three ways: EXPLAIN-style rendered traces
-// (Trace.Render), snapshot scraping (Metrics.Snapshot), and structured
-// hooks (Trace.Hook, a func(StageEvent) invoked as each stage closes).
+// (Trace.Render), snapshot scraping (Metrics.Snapshot, name-keyed, with
+// the one renderer Snapshot.Render), and structured hooks (Trace.Hook, a
+// func(StageEvent) invoked as each stage closes).
 package obsv
 
 import (

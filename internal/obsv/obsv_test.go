@@ -166,8 +166,8 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.ObserveStage(StageEvent{Stage: StageParse, Duration: 3 * time.Millisecond})
 
 	s := m.Snapshot()
-	if s.QueriesTranslated != 5 || s.CacheHits != 1 || s.CacheMisses != 2 ||
-		s.RowsMaterialized != 100 || s.EvalSteps != 999 {
+	if s.Get("QueriesTranslated") != 5 || s.Get("CacheHits") != 1 || s.Get("CacheMisses") != 2 ||
+		s.Get("RowsMaterialized") != 100 || s.Get("EvalSteps") != 999 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if len(s.Stages) != 1 || s.Stages[0].Stage != "parse" || s.Stages[0].Count != 2 {
@@ -179,7 +179,7 @@ func TestMetricsSnapshot(t *testing.T) {
 
 	var b strings.Builder
 	s.Render(&b)
-	if !strings.Contains(b.String(), "hits=1 misses=2") {
+	if !strings.Contains(b.String(), "CacheHits=1 CacheMisses=2") {
 		t.Fatalf("render = %q", b.String())
 	}
 }

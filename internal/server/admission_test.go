@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/aqerr"
+	"repro/internal/wire"
 )
 
 // admissionConfig mirrors what server.New hands newAdmission after
@@ -90,11 +91,19 @@ func TestQueueFullShedsTyped(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		shedKind(t, <-parked, "queue-timeout admit")
 	}
-	_, _, _, _, full, timeout, _, _ := a.snapshot()
+	st := admissionStats(a)
+	full, timeout := st.ShedQueueFull, st.ShedQueueTimeout
 	if full != 1 || timeout != 2 {
 		t.Fatalf("shed counters full=%d timeout=%d, want 1/2", full, timeout)
 	}
 	a.release(4)
+}
+
+// admissionStats reads the admission half of the server's counter block.
+func admissionStats(a *admission) wire.ServerStats {
+	var st wire.ServerStats
+	a.stats(&st)
+	return st
 }
 
 func waitForQueueDepth(t *testing.T, a *admission, want int) {
@@ -169,7 +178,7 @@ func TestBrownoutShedsHeavyKeepsCheap(t *testing.T) {
 	}
 	a.release(1)
 
-	_, _, _, _, _, _, brown, _ := a.snapshot()
+	brown := admissionStats(a).ShedBrownout
 	if brown != 1 {
 		t.Fatalf("shedBrownout = %d, want 1", brown)
 	}
@@ -182,7 +191,7 @@ func TestBrownoutShedsHeavyKeepsCheap(t *testing.T) {
 		t.Fatalf("heavy after decay: %v", err)
 	}
 	a.release(3)
-	_, _, _, _, _, _, _, lvl := a.snapshot()
+	lvl := admissionStats(a).BrownoutLevel
 	if lvl != 0 {
 		t.Fatalf("level after decay = %d, want 0", lvl)
 	}
@@ -239,7 +248,8 @@ func TestWeightedReleaseWakesQueue(t *testing.T) {
 	}
 	a.release(2)
 	a.release(2)
-	inFlight, peak, _, _, _, _, _, _ := a.snapshot()
+	st := admissionStats(a)
+	inFlight, peak := st.WeightedInFlight, st.WeightedPeak
 	if inFlight != 0 || peak != 4 {
 		t.Fatalf("after full release: inFlight=%d peak=%d, want 0/4", inFlight, peak)
 	}

@@ -26,8 +26,10 @@
 //     never returns is eventually reaped, which cancels the evaluation.
 //
 // Fault points named srv/* hook the request surface into the faultnet
-// chaos layer, and every counter the server keeps (sessions, in-flight
-// queries, admission rejections, cursors reaped) reports through obsv.
+// chaos layer. Every counter the server keeps (sessions, in-flight
+// queries, admission, sheds, replays, cursors reaped) is its own and is
+// reported only through Stats, so two servers in one process never mix
+// their figures.
 package server
 
 import (
@@ -41,7 +43,6 @@ import (
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
 	"repro/internal/faultnet"
-	"repro/internal/obsv"
 	"repro/internal/qcache"
 	"repro/internal/qfront"
 	"repro/internal/resultset"
@@ -163,12 +164,12 @@ type Server struct {
 	nextSession atomic.Int64
 	reaperDone  chan struct{}
 
-	// Instance counters (the process-wide mirrors live in obsv.Global).
+	// Instance counters, reported only through Stats. Open sessions and
+	// cursors are not counted: Stats reads them off the tables.
 	sessionsOpened    atomic.Int64
 	sessionsReaped    atomic.Int64
 	cursorsOpened     atomic.Int64
 	cursorsReaped     atomic.Int64
-	cursorsOpen       atomic.Int64
 	inFlight          atomic.Int64
 	peakInFlight      atomic.Int64
 	admissionRejected atomic.Int64
@@ -215,7 +216,6 @@ func (s *Server) Close() {
 
 	for _, ss := range open {
 		ss.close(false)
-		obsv.Global.SessionsActive.Add(-1)
 	}
 	s.stop()
 	if s.reaperDone != nil {
@@ -223,35 +223,35 @@ func (s *Server) Close() {
 	}
 }
 
-// Stats snapshots the instance counters.
+// Stats snapshots the instance counters. Open sessions and cursors are
+// the sizes of the session and cursor tables: the session list is taken
+// under s.mu, then each session's cursors are counted under its own lock.
 func (s *Server) Stats() wire.ServerStats {
 	s.mu.Lock()
-	open := int64(len(s.sessions))
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, ss := range s.sessions {
+		sessions = append(sessions, ss)
+	}
 	s.mu.Unlock()
-	wif, wpeak, qdepth, qpeak, shedFull, shedTimeout, shedBrownout, level := s.adm.snapshot()
-	return wire.ServerStats{
-		SessionsOpen:      open,
+	st := wire.ServerStats{
+		SessionsOpen:      int64(len(sessions)),
 		SessionsOpened:    s.sessionsOpened.Load(),
 		SessionsReaped:    s.sessionsReaped.Load(),
-		CursorsOpen:       s.cursorsOpen.Load(),
 		CursorsOpened:     s.cursorsOpened.Load(),
 		CursorsReaped:     s.cursorsReaped.Load(),
 		QueriesInFlight:   s.inFlight.Load(),
 		PeakInFlight:      s.peakInFlight.Load(),
 		AdmissionRejected: s.admissionRejected.Load(),
-
-		WeightedInFlight: wif,
-		WeightedCapacity: s.adm.capacity,
-		WeightedPeak:     wpeak,
-		QueueDepth:       qdepth,
-		QueuePeak:        qpeak,
-		ShedQueueFull:    shedFull,
-		ShedQueueTimeout: shedTimeout,
-		ShedBrownout:     shedBrownout,
-		BrownoutLevel:    level,
-		ExecReplays:      s.execReplays.Load(),
-		FetchReplays:     s.fetchReplays.Load(),
+		ExecReplays:       s.execReplays.Load(),
+		FetchReplays:      s.fetchReplays.Load(),
 	}
+	for _, ss := range sessions {
+		ss.mu.Lock()
+		st.CursorsOpen += int64(len(ss.cursors))
+		ss.mu.Unlock()
+	}
+	s.adm.stats(&st)
+	return st
 }
 
 // reapLoop closes sessions idle past the configured timeout.
@@ -293,8 +293,6 @@ func (s *Server) reapIdle(now time.Time) {
 	for _, ss := range idle {
 		ss.close(true)
 		s.sessionsReaped.Add(1)
-		obsv.Global.SessionsReaped.Inc()
-		obsv.Global.SessionsActive.Add(-1)
 	}
 }
 
@@ -306,12 +304,9 @@ func (s *Server) reapIdle(now time.Time) {
 func (s *Server) admit(ctx context.Context, weight int64, budget time.Duration) error {
 	if err := s.adm.admit(ctx, weight, budget); err != nil {
 		s.admissionRejected.Add(1)
-		obsv.Global.AdmissionRejected.Inc()
 		return err
 	}
 	n := s.inFlight.Add(1)
-	obsv.Global.QueriesInFlight.Add(1)
-	obsv.Global.PeakQueriesInFlight.SetMax(n)
 	for {
 		p := s.peakInFlight.Load()
 		if n <= p || s.peakInFlight.CompareAndSwap(p, n) {
@@ -325,7 +320,6 @@ func (s *Server) admit(ctx context.Context, weight int64, budget time.Duration) 
 func (s *Server) release(weight int64) {
 	s.adm.release(weight)
 	s.inFlight.Add(-1)
-	obsv.Global.QueriesInFlight.Add(-1)
 }
 
 // fault rolls the named srv/* fault point and realizes the scheduled
@@ -403,7 +397,6 @@ func (s *Server) handshake(ctx context.Context, req wire.HandshakeRequest) (wire
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.admissionRejected.Add(1)
-		obsv.Global.AdmissionRejected.Inc()
 		return wire.HandshakeResponse{}, aqerr.Errorf(aqerr.KindUnavailable, "handshake",
 			"session limit reached (%d open)", s.cfg.MaxSessions)
 	}
@@ -418,8 +411,6 @@ func (s *Server) handshake(ctx context.Context, req wire.HandshakeRequest) (wire
 	ss.lastUsed.Store(time.Now().UnixNano())
 	s.sessions[id] = ss
 	s.sessionsOpened.Add(1)
-	obsv.Global.SessionsOpened.Inc()
-	obsv.Global.SessionsActive.Add(1)
 	return wire.HandshakeResponse{Session: id}, nil
 }
 
@@ -450,7 +441,6 @@ func (s *Server) closeSession(ctx context.Context, req wire.CloseSessionRequest)
 		return nil // idempotent
 	}
 	ss.close(false)
-	obsv.Global.SessionsActive.Add(-1)
 	return nil
 }
 
@@ -476,7 +466,6 @@ func (ss *session) close(reaped bool) {
 		c.closeCursor(ss.srv)
 		if reaped {
 			ss.srv.cursorsReaped.Add(1)
-			obsv.Global.CursorsReaped.Inc()
 		}
 	}
 }
@@ -493,7 +482,6 @@ func (c *cursor) closeCursor(s *Server) {
 		c.cancel = nil
 	}
 	c.releaseLocked(s)
-	s.cursorsOpen.Add(-1)
 }
 
 // releaseLocked returns the admission slots once per cursor (EOF, error,
@@ -563,7 +551,6 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 			ss.mu.Unlock()
 			if cur != nil {
 				s.execReplays.Add(1)
-				obsv.Global.ExecReplays.Inc()
 				return wire.ExecuteResponse{Cursor: id, Columns: cur.cols}, nil
 			}
 			// The cursor this key opened is already closed: the original
@@ -645,7 +632,6 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 	if ss.closed {
 		ss.mu.Unlock()
 		cur.closeCursor(s)
-		s.cursorsOpen.Add(1) // closeCursor decremented a cursor never counted open
 		return wire.ExecuteResponse{}, aqerr.Errorf(aqerr.KindUnavailable, "session", "session %q is closed", ss.id)
 	}
 	ss.nextID++
@@ -657,8 +643,6 @@ func (s *Server) execute(ctx context.Context, req wire.ExecuteRequest) (wire.Exe
 	ss.mu.Unlock()
 
 	s.cursorsOpened.Add(1)
-	s.cursorsOpen.Add(1)
-	obsv.Global.CursorsOpened.Inc()
 	return wire.ExecuteResponse{Cursor: id, Columns: cols}, nil
 }
 
@@ -705,7 +689,6 @@ func (s *Server) fetch(ctx context.Context, req wire.FetchRequest) (wire.FetchRe
 		switch {
 		case req.Seq == cur.lastSeq:
 			s.fetchReplays.Add(1)
-			obsv.Global.FetchReplays.Inc()
 			return cur.lastResp, nil
 		case req.Seq != cur.lastSeq+1:
 			return wire.FetchResponse{}, aqerr.Errorf(aqerr.KindPermanent, "fetch",

@@ -8,10 +8,12 @@ package translator_test
 // coverage breadth).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 )
 
@@ -184,7 +186,7 @@ func TestSQL92ConformanceMatrix(t *testing.T) {
 		c := c
 		t.Run(c.feature, func(t *testing.T) {
 			tr := translator.New(catalog.Demo())
-			res, err := tr.Translate(c.sql)
+			res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, c.sql, nil)
 			if err != nil {
 				t.Fatalf("translate: %v", err)
 			}
@@ -207,7 +209,7 @@ func TestConformanceBothModes(t *testing.T) {
 	for _, c := range conformanceMatrix {
 		tr := translator.New(catalog.Demo())
 		tr.Options.Mode = translator.ModeText
-		res, err := tr.Translate(c.sql)
+		res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, c.sql, nil)
 		if err != nil {
 			t.Fatalf("%s: translate (text mode): %v", c.feature, err)
 		}

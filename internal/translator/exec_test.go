@@ -7,12 +7,14 @@ package translator_test
 // what the SQL query would have done".
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/resultset"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -96,7 +98,7 @@ func toColumns(cols []translator.ResultColumn) []resultset.Column {
 func run(t *testing.T, sql string, params ...xdm.Atomic) *resultset.Rows {
 	t.Helper()
 	tr := translator.New(catalog.Demo())
-	res, err := tr.Translate(sql)
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 	if err != nil {
 		t.Fatalf("translate %q: %v", sql, err)
 	}
@@ -121,7 +123,7 @@ func runText(t *testing.T, sql string) *resultset.Rows {
 	t.Helper()
 	tr := translator.New(catalog.Demo())
 	tr.Options.Mode = translator.ModeText
-	res, err := tr.Translate(sql)
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 	if err != nil {
 		t.Fatalf("translate %q: %v", sql, err)
 	}
@@ -701,7 +703,7 @@ func TestExecTextModeEscaping(t *testing.T) {
 
 	tr := translator.New(catalog.Demo())
 	tr.Options.Mode = translator.ModeText
-	res, err := tr.Translate("SELECT CUSTOMERNAME FROM CUSTOMERS")
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT CUSTOMERNAME FROM CUSTOMERS", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +745,7 @@ func TestExecNullVsEmptyStringInTextMode(t *testing.T) {
 
 	tr := translator.New(catalog.Demo())
 	tr.Options.Mode = translator.ModeText
-	res, err := tr.Translate("SELECT CUSTOMERNAME FROM CUSTOMERS")
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT CUSTOMERNAME FROM CUSTOMERS", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,7 +773,7 @@ func TestExecStoredProcedureStyleFunction(t *testing.T) {
 	// Parameterized functions are rejected in FROM — callers use the
 	// driver's procedure-call surface, tested in the driver package.
 	tr := translator.New(catalog.Demo())
-	_, err := tr.Translate("SELECT * FROM getCustomerById")
+	_, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT * FROM getCustomerById", nil)
 	if err == nil {
 		t.Fatal("parameterized function as table should fail")
 	}

@@ -5,8 +5,11 @@ package translator_test
 // string functions.
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/sqlparser"
 )
 
 func TestExecFetchFirst(t *testing.T) {
@@ -50,7 +53,7 @@ func TestExecFetchFirstTopNAggregates(t *testing.T) {
 
 func TestGoldenFetchFirstUsesSubsequence(t *testing.T) {
 	tr := newTranslator()
-	res, err := tr.Translate("SELECT CUSTOMERID FROM CUSTOMERS FETCH FIRST 3 ROWS ONLY")
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT CUSTOMERID FROM CUSTOMERS FETCH FIRST 3 ROWS ONLY", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestFetchFirstParseErrors(t *testing.T) {
 		"SELECT A FROM T FETCH FIRST THREE ROWS ONLY", // non-integer
 	}
 	for _, sql := range bad {
-		if _, err := newTranslator().Translate(sql); err == nil {
+		if _, err := newTranslator().TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil); err == nil {
 			t.Errorf("%q should fail", sql)
 		}
 	}

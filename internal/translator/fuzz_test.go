@@ -1,9 +1,11 @@
 package translator
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlparser"
 	"repro/internal/xquery"
 )
 
@@ -34,7 +36,7 @@ func FuzzTranslate(f *testing.F) {
 	}
 	tr := New(catalog.NewCache(catalog.Demo()))
 	f.Fuzz(func(t *testing.T, sql string) {
-		res, err := tr.Translate(sql)
+		res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 		if err != nil {
 			return
 		}

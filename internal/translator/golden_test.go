@@ -1,10 +1,12 @@
 package translator
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlparser"
 )
 
 func newTestTranslator() *Translator {
@@ -13,7 +15,7 @@ func newTestTranslator() *Translator {
 
 func translate(t *testing.T, sql string) *Result {
 	t.Helper()
-	res, err := newTestTranslator().Translate(sql)
+	res, err := newTestTranslator().TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 	if err != nil {
 		t.Fatalf("Translate(%q): %v", sql, err)
 	}
@@ -146,7 +148,7 @@ func TestGoldenExample12(t *testing.T) {
 func TestGoldenSection4Wrapper(t *testing.T) {
 	tr := New(catalog.Demo())
 	tr.Options.Mode = ModeText
-	res, err := tr.Translate("SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS")
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestGoldenImplicitGroup(t *testing.T) {
 }
 
 func TestGoldenStoredProcedureRejectedAsTable(t *testing.T) {
-	_, err := newTestTranslator().Translate("SELECT * FROM getCustomerById")
+	_, err := newTestTranslator().TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT * FROM getCustomerById", nil)
 	if err == nil || !strings.Contains(err.Error(), "stored procedure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -349,7 +351,7 @@ func TestSemanticErrors(t *testing.T) {
 		{"SELECT CUSTOMERID FROM CUSTOMERS GROUP BY COUNT(*)", "not allowed in GROUP BY"},
 	}
 	for _, c := range cases {
-		_, err := newTestTranslator().Translate(c.sql)
+		_, err := newTestTranslator().TranslateFrontend(context.Background(), sqlparser.Front{}, c.sql, nil)
 		if err == nil {
 			t.Errorf("Translate(%q) should fail", c.sql)
 			continue

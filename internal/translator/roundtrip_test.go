@@ -8,10 +8,12 @@ package translator_test
 // the driver ships XQuery *text*, so text must carry the full semantics.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xquery"
@@ -22,7 +24,7 @@ func TestTranslationSerializeParseFixedPoint(t *testing.T) {
 		for _, c := range conformanceMatrix {
 			tr := translator.New(catalog.Demo())
 			tr.Options.Mode = mode
-			res, err := tr.Translate(c.sql)
+			res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, c.sql, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.feature, err)
 			}
@@ -44,7 +46,7 @@ func TestParsedTranslationExecutesIdentically(t *testing.T) {
 	engine := fixtureEngine()
 	for _, c := range conformanceMatrix {
 		tr := translator.New(catalog.Demo())
-		res, err := tr.Translate(c.sql)
+		res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, c.sql, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.feature, err)
 		}

@@ -5,7 +5,10 @@ package translator_test
 // against both lists and subqueries.
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/sqlparser"
 )
 
 func TestExecRowValueEquality(t *testing.T) {
@@ -79,7 +82,7 @@ func TestRowValueErrors(t *testing.T) {
 		{"SELECT 1 FROM CUSTOMERS WHERE (CUSTOMERID, CITY) IN (1, 2)", "must contain row values"},
 	}
 	for _, c := range bad {
-		_, err := newTranslator().Translate(c.sql)
+		_, err := newTranslator().TranslateFrontend(context.Background(), sqlparser.Front{}, c.sql, nil)
 		if err == nil {
 			t.Errorf("%q should fail", c.sql)
 			continue

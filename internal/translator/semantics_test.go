@@ -5,7 +5,10 @@ package translator_test
 // HAVING interactions, and date predicates.
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/sqlparser"
 )
 
 func TestExecGroupByExpressionKey(t *testing.T) {
@@ -128,7 +131,7 @@ func TestExecOuterJoinOfDerivedTable(t *testing.T) {
 func TestExecUnionCompatibilityPromotion(t *testing.T) {
 	// INTEGER union DECIMAL promotes to DECIMAL.
 	tr := newTranslator()
-	res, err := tr.Translate("SELECT CUSTOMERID FROM CUSTOMERS UNION SELECT PAYMENT FROM PAYMENTS")
+	res, err := tr.TranslateFrontend(context.Background(), sqlparser.Front{}, "SELECT CUSTOMERID FROM CUSTOMERS UNION SELECT PAYMENT FROM PAYMENTS", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +202,8 @@ func TestExecUnqualifiedColumnThroughAliasedJoin(t *testing.T) {
 	}
 	// A genuinely ambiguous name (CUSTOMERID exists in both tables of the
 	// join) must still be rejected.
-	_, err := newTranslator().Translate(`SELECT CUSTOMERID
-		FROM (CUSTOMERS JOIN PO_CUSTOMERS ON CUSTOMERS.CUSTOMERID = PO_CUSTOMERS.CUSTOMERID) AS P`)
+	_, err := newTranslator().TranslateFrontend(context.Background(), sqlparser.Front{}, `SELECT CUSTOMERID
+		FROM (CUSTOMERS JOIN PO_CUSTOMERS ON CUSTOMERS.CUSTOMERID = PO_CUSTOMERS.CUSTOMERID) AS P`, nil)
 	if err == nil || !contains(err.Error(), "ambiguous") {
 		t.Fatalf("err = %v", err)
 	}

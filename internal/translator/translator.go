@@ -152,9 +152,9 @@ func semErr(pos qfront.Pos, format string, args ...any) error {
 // TranslateFrontend runs the full pipeline with an explicit query front
 // end: stage one (lex + parse, with its own stage spans) is delegated to
 // fe, and the statement it emits flows through the front-end-agnostic
-// kernel (stages two and three). This is the seam every dialect enters
-// through; the SQL-language helpers in sqldefault.go are wrappers over
-// it.
+// kernel (stages two and three). This is the one entry point: every
+// dialect, SQL included (sqlparser.Front{}), enters through it, and a nil
+// trace costs nothing beyond the untraced path.
 func (t *Translator) TranslateFrontend(ctx context.Context, fe qfront.Frontend, text string, tr *obsv.Trace) (*Result, error) {
 	stmt, err := fe.Parse(text, tr)
 	if err != nil {

@@ -265,15 +265,17 @@ type ServerStats struct {
 	ShedQueueTimeout int64 `json:"shed_queue_timeout"`
 	ShedBrownout     int64 `json:"shed_brownout"`
 	// BrownoutLevel is the current degradation level (0 = normal); each
-	// level halves the maximum admissible query weight.
-	BrownoutLevel int64 `json:"brownout_level"`
+	// level halves the maximum admissible query weight. BrownoutEngaged
+	// counts the steps up.
+	BrownoutLevel   int64 `json:"brownout_level"`
+	BrownoutEngaged int64 `json:"brownout_engaged"`
 	// Idempotent replays served from cursor state instead of re-running.
 	ExecReplays  int64 `json:"exec_replays"`
 	FetchReplays int64 `json:"fetch_replays"`
 }
 
-// StatsResponse bundles the server counters with the process-wide
-// pipeline snapshot.
+// StatsResponse bundles the server's own counters with the process-wide
+// pipeline snapshot (the obsv metrics registry).
 type StatsResponse struct {
 	Server   ServerStats   `json:"server"`
 	Pipeline obsv.Snapshot `json:"pipeline"`

@@ -22,6 +22,7 @@ import (
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
 	"repro/internal/demo"
+	"repro/internal/sqlparser"
 	"repro/internal/translator"
 	"repro/internal/xdm"
 	"repro/internal/xqeval"
@@ -74,7 +75,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 		trans := translator.New(catalog.NewCache(app))
 		trans.Options.Mode = mode
 		for _, sql := range differentialCorpus() {
-			res, err := trans.Translate(sql)
+			res, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 			if err != nil {
 				t.Fatalf("mode %v: %q must translate: %v", mode, sql, err)
 			}
@@ -589,7 +590,7 @@ func FuzzParallelDifferential(f *testing.F) {
 	app, _, engine := demo.Setup(demo.Sizes{Customers: 8, PaymentsPerCustomer: 2, Orders: 10, ItemsPerOrder: 2})
 	trans := translator.New(catalog.NewCache(app))
 	f.Fuzz(func(t *testing.T, sql string) {
-		res, err := trans.Translate(sql)
+		res, err := trans.TranslateFrontend(context.Background(), sqlparser.Front{}, sql, nil)
 		if err != nil {
 			return
 		}

@@ -272,7 +272,7 @@ func TestHedgedFetchNoLeak(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	})
 
-	hedgesBefore := Stats().FetchHedges
+	hedgesBefore := Stats().Get("FetchHedges")
 	c, err := remoteclient.LoopbackOptions(slow, remoteclient.Options{
 		HedgeDelay: 2 * time.Millisecond,
 	})
@@ -296,7 +296,7 @@ func TestHedgedFetchNoLeak(t *testing.T) {
 			t.Fatalf("hedged stream diverged between runs\ngot:  %s\nwant: %s", got, want)
 		}
 	}
-	if Stats().FetchHedges == hedgesBefore {
+	if Stats().Get("FetchHedges") == hedgesBefore {
 		t.Fatal("hedge never fired despite slow fetches")
 	}
 	_ = c.Close()

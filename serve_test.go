@@ -15,6 +15,7 @@ import (
 	"database/sql"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/aqerr"
 	"repro/internal/catalog"
 	"repro/internal/faultnet"
+	"repro/internal/obsv"
 	"repro/internal/remoteclient"
 	"repro/internal/resultset"
 	"repro/internal/server"
@@ -432,6 +434,107 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestServeStatsTwoServers pins the stats surfaces: two servers over one
+// platform in one process each count only their own sessions, cursors and
+// admission rejections; the open-cursor figure is derived from the cursor
+// tables; /v1/stats round-trips the server block and every registered
+// pipeline metric through JSON; and the registry's one renderer shows
+// every metric under a unique name.
+func TestServeStatsTwoServers(t *testing.T) {
+	p := Demo()
+	srvA := server.New(p, server.Config{MaxSessions: 1, SessionIdleTimeout: time.Minute})
+	srvB := server.New(p, server.Config{SessionIdleTimeout: time.Minute})
+	defer srvA.Close()
+	defer srvB.Close()
+	cA, err := remoteclient.Loopback(srvA.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cA.Close()
+	cB, err := remoteclient.Loopback(srvB.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cB.Close()
+	ctx := context.Background()
+
+	// One admission rejection, on A only: its single session slot is taken.
+	if werr := postWire(t, srvA.Handler(), wire.PathHandshake, wire.HandshakeRequest{Client: "extra"}, nil); werr == nil {
+		t.Fatal("second handshake on a one-session server succeeded")
+	}
+	holder, err := cA.QueryDialect(ctx, "", ModeText, "SELECT CUSTOMERID FROM CUSTOMERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := cB.QueryDialect(ctx, "", ModeText, "SELECT CITY FROM CUSTOMERS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drainClose(done); err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := srvA.Stats(), srvB.Stats()
+	if a.CursorsOpen != 1 || b.CursorsOpen != 0 {
+		t.Fatalf("open cursors: A=%d B=%d, want 1/0", a.CursorsOpen, b.CursorsOpen)
+	}
+	if a.SessionsOpened != 1 || a.SessionsOpen != 1 || a.CursorsOpened != 1 || a.AdmissionRejected != 1 || a.QueriesInFlight != 1 {
+		t.Fatalf("server A counted another server's events: %+v", a)
+	}
+	if b.SessionsOpened != 1 || b.SessionsOpen != 1 || b.CursorsOpened != 1 || b.AdmissionRejected != 0 || b.QueriesInFlight != 0 {
+		t.Fatalf("server B counted another server's events: %+v", b)
+	}
+	for _, tc := range []struct {
+		c   *remoteclient.Client
+		srv *server.Server
+	}{{cA, srvA}, {cB, srvB}} {
+		resp, err := tc.c.ServerStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.srv.Stats(); resp.Server != want {
+			t.Fatalf("/v1/stats server block %+v, want %+v", resp.Server, want)
+		}
+	}
+
+	// Once both servers are idle the process-wide registry stops moving,
+	// so the decoded pipeline must equal the local snapshot by name.
+	holder.Close()
+	var diff []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := cA.ServerStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := Stats()
+		diff = diff[:0]
+		for _, d := range obsv.Registry() {
+			if got, want := resp.Pipeline.Get(d.Name), local.Get(d.Name); got != want {
+				diff = append(diff, fmt.Sprintf("%s=%d (local %d)", d.Name, got, want))
+			}
+		}
+		if len(diff) == 0 && len(resp.Pipeline.Metrics) == len(obsv.Registry()) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/v1/stats pipeline differs from Stats(): %v (%d metrics decoded)", diff, len(resp.Pipeline.Metrics))
+		}
+	}
+
+	var out strings.Builder
+	Stats().Render(&out, obsv.Groups...)
+	seen := map[string]bool{}
+	for _, d := range obsv.Registry() {
+		if seen[d.Name] {
+			t.Fatalf("metric %s registered twice", d.Name)
+		}
+		seen[d.Name] = true
+		if !strings.Contains(out.String(), " "+d.Name+"=") {
+			t.Fatalf("Render with every group omits %s:\n%s", d.Name, out.String())
+		}
+	}
+}
+
 // TestServePreparedAcrossViewChange pins prepared statements against
 // catalog churn: a CREATE VIEW mid-session bumps the metadata generation,
 // and the next execution of an already-prepared statement recompiles
@@ -456,7 +559,7 @@ func TestServePreparedAcrossViewChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	missesBefore := Stats().CompileCacheMisses
+	missesBefore := Stats().Get("CompileCacheMisses")
 	if err := c.DefineView(ctx, "Views", "V_SERVE_CHURN", "SELECT CUSTOMERID, CITY FROM CUSTOMERS"); err != nil {
 		t.Fatalf("create view: %v", err)
 	}
@@ -472,7 +575,7 @@ func TestServePreparedAcrossViewChange(t *testing.T) {
 	if got != want {
 		t.Fatalf("prepared result changed across unrelated view churn\ngot:  %s\nwant: %s", got, want)
 	}
-	if misses := Stats().CompileCacheMisses; misses <= missesBefore {
+	if misses := Stats().Get("CompileCacheMisses"); misses <= missesBefore {
 		t.Fatalf("execution after CREATE VIEW reused a stale compile (misses %d -> %d)", missesBefore, misses)
 	}
 

@@ -312,13 +312,13 @@ func TestStreamingMetricsSurface(t *testing.T) {
 	}
 	rows.Close()
 	after := Stats()
-	if got := after.RowsStreamed - before.RowsStreamed; got < int64(n) {
+	if got := after.Get("RowsStreamed") - before.Get("RowsStreamed"); got < int64(n) {
 		t.Fatalf("RowsStreamed advanced by %d, want >= %d", got, n)
 	}
 	if after.TimeToFirstRowCount <= before.TimeToFirstRowCount {
 		t.Fatalf("TimeToFirstRow not observed: %d -> %d", before.TimeToFirstRowCount, after.TimeToFirstRowCount)
 	}
-	if after.PeakInFlightRows <= 0 {
+	if after.Get("PeakInFlightRows") <= 0 {
 		t.Fatal("PeakInFlightRows never recorded")
 	}
 }
